@@ -53,6 +53,7 @@ from .intercept import (
 from .probe import (
     ProbePlan,
     ProbeSample,
+    SampleBatch,
     discover_hops,
     run_session,
     wire_size,

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 internal/environment error, 2 target unreachable,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -169,7 +168,7 @@ def _estimate_profile(profile: estimator.DelayProfile) -> estimator.BandwidthEst
     return estimator.estimate_regression(profile)
 
 
-def _load_samples(args, cfg: CliConfig) -> list[probe.ProbeSample]:
+def _load_samples(args, cfg: CliConfig) -> probe.SampleBatch:
     if str(args.input).endswith(".csv"):
         mapping = {
             "size": args.size_column,
@@ -221,7 +220,7 @@ def cmd_probe(args, cfg: CliConfig) -> int:
     out_path = args.output or f"session-{session_id}.jsonl"
     store.save_session(record, out_path)
 
-    n_lost = sum(1 for s in samples if s.lost)
+    n_lost = int(samples.lost.sum())
     # The session is the product; a summary estimate can legitimately be
     # undefined (e.g. loopback, where the delay-size slope is pure noise).
     est = profile = None
@@ -259,10 +258,7 @@ def cmd_estimate(args, cfg: CliConfig) -> int:
         # Delays are round-trip by default; halving assumes a symmetric path.
         print("warning: --one-way-halve assumes a symmetric path; "
               "delays divided by 2", file=sys.stderr)
-        samples = [
-            s if s.lost else dataclasses.replace(s, rtt_s=s.rtt_s / 2)
-            for s in samples
-        ]
+        samples = samples.replace(rtt_s=samples.rtt_s / 2)
     threshold = args.min_samples if args.min_samples is not None else cfg.min_samples
     profile = estimator.min_delay_profile(samples, threshold)
     est = _estimate_profile(profile)
@@ -278,8 +274,8 @@ def cmd_estimate(args, cfg: CliConfig) -> int:
 def cmd_simulate(args, cfg: CliConfig) -> int:
     """Run the path simulator and compare the estimate to ground truth."""
     path = simulator.load_path_file(args.path_config)
-    if args.seed is not None:
-        path = simulator.SimPath(hops=path.hops, seed=args.seed)
+    if cfg.seed is not None:
+        path = simulator.SimPath(hops=path.hops, seed=cfg.seed)
     sizes_bytes = _parse_sizes(args.sizes) if args.sizes else cfg.sizes
     sizes_bits = tuple(8 * s for s in sizes_bytes)
     count = args.count if args.count is not None else cfg.count
@@ -400,7 +396,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after
+    it: parsing leaves no state in it, and building it costs about as much
+    as a small command."""
+    global _parser
+    if _parser is None:
+        _parser = _make_parser()
+    return _parser
+
+
+def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key=value config file")
     common.add_argument("--json", action="store_true", help="machine-readable output")

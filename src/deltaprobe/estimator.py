@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     DelayNotAboveIntercept,
@@ -25,7 +27,7 @@ from .errors import (
     NonPositiveSlope,
     NoUsableSizes,
 )
-from .probe import ProbeSample
+from .probe import SampleBatch, Samples
 
 METHOD_DIRECT = "direct"
 METHOD_PAIRWISE = "pairwise"
@@ -117,7 +119,7 @@ class LinearFit:
 
 
 def min_delay_profile(
-    samples: Sequence[ProbeSample],
+    samples: Samples,
     min_samples_per_size: int = DEFAULT_MIN_SAMPLES_PER_SIZE,
 ) -> DelayProfile:
     """Group non-lost samples by wire size and keep each size's minimum delay.
@@ -126,38 +128,32 @@ def min_delay_profile(
     and reported in the profile's `dropped_sizes`. Raises NoUsableSizes when
     no size group meets the threshold.
     """
-    if not samples:
+    batch = SampleBatch.from_samples(samples)
+    if not len(batch):
         raise ValueError("samples is empty")
     if min_samples_per_size < 1:
         raise ValueError("min_samples_per_size must be >= 1")
 
-    groups: dict[int, list[float]] = {}
-    for sample in samples:
-        if sample.lost:
-            continue
-        groups.setdefault(sample.wire_bits, []).append(sample.rtt_s)
+    alive = ~batch.lost
+    sizes, group, counts = np.unique(
+        batch.wire_bits[alive], return_inverse=True, return_counts=True
+    )
+    minima = np.full(len(sizes), np.inf)
+    np.minimum.at(minima, group, batch.rtt_s[alive])
 
-    points = []
-    counts = {}
-    dropped = []
-    for size in sorted(groups):
-        delays = groups[size]
-        if len(delays) < min_samples_per_size:
-            dropped.append(size)
-            continue
-        points.append(SizeDelayPoint(size, min(delays)))
-        counts[size] = len(delays)
-
-    if not points:
+    kept = counts >= min_samples_per_size
+    if not kept.any():
         raise NoUsableSizes(
             f"no size has >= {min_samples_per_size} non-lost samples "
-            f"({len(groups)} sizes seen)"
+            f"({len(sizes)} sizes seen)"
         )
+    sizes, minima, counts = sizes.tolist(), minima.tolist(), counts.tolist()
+    kept = kept.tolist()
     return DelayProfile(
-        path_id=samples[0].path_id,
-        points=tuple(points),
-        samples_per_size=counts,
-        dropped_sizes=tuple(dropped),
+        path_id=batch.path_id,
+        points=tuple(SizeDelayPoint(w, d) for w, d, k in zip(sizes, minima, kept) if k),
+        samples_per_size={w: c for w, c, k in zip(sizes, counts, kept) if k},
+        dropped_sizes=tuple(w for w, k in zip(sizes, kept) if not k),
     )
 
 

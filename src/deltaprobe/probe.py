@@ -2,8 +2,9 @@
 
 A probe session sends echo packets of several payload sizes in round-robin
 order, timestamps each send and receive on the monotonic clock, and returns
-one ProbeSample per probe in send order. Lost probes (no matching reply
-within the timeout) carry no RTT.
+its samples in send order as one SampleBatch, the column form every layer
+of the package works on. Lost probes (no matching reply within the
+timeout) carry no RTT.
 
 ICMP echo needs a raw socket (or a kernel ping socket where permitted);
 UDP echo needs a cooperating reflector, see `deltaprobe.reflector`.
@@ -12,13 +13,17 @@ UDP echo needs a cooperating reflector, see `deltaprobe.reflector`.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import select
 import socket
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import AllProbesLost, NoReply, ProbePermissionError, ResolveFailure
 
@@ -72,10 +77,170 @@ class ProbeSample:
             )
         if self.lost != (self.rtt_s is None):
             raise ValueError("lost flag must match absence of rtt_s")
-        if self.rtt_s is not None and not self.rtt_s > 0:
-            raise ValueError(f"rtt_s must be positive, got {self.rtt_s}")
+        if self.rtt_s is not None and not 0 < self.rtt_s < math.inf:
+            raise ValueError(f"rtt_s must be positive and finite, got {self.rtt_s}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+
+class InvalidSample(ValueError):
+    """A sample column breaks a rule; `index` is the first offending row."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(f"sample {index}: {message}")
+        self.index = index
+
+
+_INT_TYPES = (int, np.integer)
+_FLOAT_TYPES = (int, float, np.integer, np.floating, type(None))
+_INT_FIELDS = ("seq", "payload_bytes", "wire_bits", "sent_at_us")
+_COLUMNS = (*_INT_FIELDS, "rtt_s")
+
+
+def _column(values, dtype, name: str) -> np.ndarray:
+    """A read-only 1-D copy of `values` as `dtype`. Python sequences may hold
+    only integers (and, for float columns, floats and None, which becomes
+    NaN); bools and strings are refused, not converted."""
+    is_float = dtype is np.float64
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in ("iuf" if is_float else "iu"):
+            raise ValueError(f"{name} must be numeric, got dtype {values.dtype}")
+    else:
+        allowed = _FLOAT_TYPES if is_float else _INT_TYPES
+        bad = {t for t in set(map(type, values)) if not issubclass(t, allowed) or t is bool}
+        if bad:
+            index = next(i for i, v in enumerate(values) if type(v) in bad)
+            raise InvalidSample(index, f"{name} must be a number, got {values[index]!r}")
+    try:
+        column = np.array(values, dtype=dtype)
+    except OverflowError:
+        for index, value in enumerate(values):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                raise InvalidSample(index, f"{name} out of range, got {value!r}") from None
+        raise
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    column.flags.writeable = False
+    return column
+
+
+def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        index = int(bad[0])
+        raise InvalidSample(index, f"{message}, got {values[index]}")
+
+
+class SampleBatch(Sequence):
+    """The samples of one probing session as columns.
+
+    `seq`, `payload_bytes`, `wire_bits` and `sent_at_us` are int64 arrays and
+    `rtt_s` is a float64 array with NaN for a lost probe; `path_id` and
+    `method` hold for every sample. The constructor copies the columns,
+    makes them read-only and checks every ProbeSample rule at once, plus
+    finite RTTs; a failed check raises InvalidSample naming the first bad
+    row.
+
+    The batch is also a read-only sequence of ProbeSample rows: `len`,
+    indexing and iteration give rows (rtt_s None when lost), a slice gives
+    a batch, and `==` compares columns.
+    """
+
+    __slots__ = ("path_id", "method", *_COLUMNS)
+
+    def __init__(self, path_id, method, seq, payload_bytes, wire_bits, sent_at_us, rtt_s):
+        self.path_id = path_id
+        self.method = method
+        self.seq = _column(seq, np.int64, "seq")
+        self.payload_bytes = _column(payload_bytes, np.int64, "payload_bytes")
+        self.wire_bits = _column(wire_bits, np.int64, "wire_bits")
+        self.sent_at_us = _column(sent_at_us, np.int64, "sent_at_us")
+        self.rtt_s = _column(rtt_s, np.float64, "rtt_s")
+        if not isinstance(method, str) or method not in _METHODS:
+            raise InvalidSample(0, f"unknown method {method!r}")
+        if len({len(getattr(self, name)) for name in _COLUMNS}) > 1:
+            raise ValueError("sample columns differ in length")
+        _require(self.seq >= 0, "seq must be nonnegative", self.seq)
+        _require(self.payload_bytes > 0, "payload_bytes must be positive", self.payload_bytes)
+        # floor division cannot overflow where 8 * payload_bytes could
+        _require(self.wire_bits // 8 >= self.payload_bytes,
+                 "wire_bits smaller than 8 * payload_bytes", self.wire_bits)
+        rtt = self.rtt_s
+        _require(np.isnan(rtt) | ((rtt > 0) & (rtt < np.inf)),
+                 "rtt_s must be positive and finite", rtt)
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleBatch":
+        """The batch itself, or a batch of a sequence of ProbeSample rows,
+        which must share one path_id and method."""
+        if isinstance(samples, cls):
+            return samples
+        rows = list(samples)
+        if not rows:
+            return cls("", METHOD_IMPORTED, (), (), (), (), ())
+        ids = {(s.path_id, s.method) for s in rows}
+        if len(ids) > 1:
+            raise ValueError(f"samples mix path ids or methods: {ids}")
+        (path_id, method), = ids
+        return cls(path_id, method, *([getattr(s, name) for s in rows] for name in _COLUMNS))
+
+    @classmethod
+    def concat(cls, batches: Sequence["SampleBatch"]) -> "SampleBatch":
+        """The samples of several batches of one path_id and method, in order."""
+        ids = {(b.path_id, b.method) for b in batches}
+        if len(ids) != 1:
+            raise ValueError(f"batches mix path ids or methods: {ids}")
+        (path_id, method), = ids
+        return cls(path_id, method,
+                   *(np.concatenate([getattr(b, name) for b in batches]) for name in _COLUMNS))
+
+    @property
+    def lost(self) -> np.ndarray:
+        return np.isnan(self.rtt_s)
+
+    def replace(self, **columns) -> "SampleBatch":
+        """A batch with the named fields replaced, checked again."""
+        return SampleBatch(**{name: getattr(self, name) for name in self.__slots__} | columns)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(SampleBatch)
+            view.path_id, view.method = self.path_id, self.method
+            for name in _COLUMNS:
+                setattr(view, name, getattr(self, name)[index])
+            return view
+        i = range(len(self))[index]
+        return self._row(*(getattr(self, name)[i].item() for name in _COLUMNS))
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return itertools.starmap(self._row, zip(*columns))
+
+    def _row(self, seq, payload_bytes, wire_bits, sent_at_us, rtt_s) -> ProbeSample:
+        lost = rtt_s != rtt_s  # NaN
+        return ProbeSample(self.path_id, seq, payload_bytes, wire_bits, sent_at_us,
+                           None if lost else rtt_s, lost, self.method)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleBatch):
+            return NotImplemented
+        return (self.path_id == other.path_id and self.method == other.method
+                and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _INT_FIELDS)
+                and np.array_equal(self.rtt_s, other.rtt_s, equal_nan=True))
+
+    def __repr__(self) -> str:
+        return (f"SampleBatch(path_id={self.path_id!r}, method={self.method!r}, "
+                f"n={len(self)}, lost={int(self.lost.sum())})")
+
+
+# What library entry points take as samples; each converts once, with
+# SampleBatch.from_samples.
+Samples = Union[SampleBatch, Sequence[ProbeSample]]
 
 
 @dataclass(frozen=True)
@@ -128,12 +293,14 @@ def _resolve(target: str) -> str:
 
 
 def _icmp_checksum(data: bytes) -> int:
+    """Internet checksum (RFC 1071): the complement of the ones'-complement
+    sum of the big-endian 16-bit words. As 2**16 = 1 mod 0xFFFF, that sum is
+    the whole message read as one integer, mod 0xFFFF, except that a nonzero
+    message whose sum is 0 mod 0xFFFF sums to 0xFFFF."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) + data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
+    value = int.from_bytes(data, "big")
+    total = value % 0xFFFF or (0xFFFF if value else 0)
     return ~total & 0xFFFF
 
 
@@ -167,7 +334,24 @@ def _open_icmp_socket() -> tuple[socket.socket, bool]:
 _session_counter = itertools.count()
 
 
-class _IcmpTransport:
+class _EchoTransport:
+    """One probe socket. `build` makes a probe's packet and the key its reply
+    will be matched by, `transmit` sends a built packet, and `drain` yields
+    (key, recv_ns) for every matching reply waiting, each stamped on the
+    monotonic clock right after its own receive call."""
+
+    _sock: socket.socket
+
+    def wait(self, timeout_s: float) -> bool:
+        """True when a reply may be waiting before `timeout_s` has passed."""
+        readable, _, _ = select.select([self._sock], [], [], timeout_s)
+        return bool(readable)
+
+    def close(self):
+        self._sock.close()
+
+
+class _IcmpTransport(_EchoTransport):
     """ICMP echo sender/receiver. Reply matching: (identifier, sequence, nonce);
     on an unprivileged ping socket the kernel rewrites the identifier, so
     matching falls back to (sequence, nonce)."""
@@ -180,24 +364,22 @@ class _IcmpTransport:
         # process-scoped session id: pid offset by a per-process counter
         self._ident = (os.getpid() + next(_session_counter)) & 0xFFFF
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
-    def send(self, seq: int, ts_us: int, payload_bytes: int) -> int:
+    def build(self, seq: int, ts_us: int, payload_bytes: int) -> tuple[int, bytes]:
         payload = _probe_payload(ts_us, self._nonce, payload_bytes)
-        packet = _build_echo_request(self._ident, seq & 0xFFFF, payload)
-        self._sock.sendto(packet, (self._dst, 0))
-        return seq & 0xFFFF
+        return seq & 0xFFFF, _build_echo_request(self._ident, seq & 0xFFFF, payload)
 
-    def drain(self) -> list[int]:
-        keys = []
+    def transmit(self, packet: bytes) -> None:
+        self._sock.sendto(packet, (self._dst, 0))
+
+    def drain(self):
         while True:
             try:
                 data, _addr = self._sock.recvfrom(65535)
             except (BlockingIOError, InterruptedError):
-                break
+                return
             except OSError:
                 continue
+            recv_ns = time.monotonic_ns()
             icmp = data[(data[0] & 0x0F) * 4:] if self._raw else data
             if len(icmp) < ICMP_HEADER_BYTES + MIN_PAYLOAD_BYTES:
                 continue
@@ -209,14 +391,10 @@ class _IcmpTransport:
             _ts, nonce = _PROBE_PREFIX.unpack_from(icmp, ICMP_HEADER_BYTES)
             if nonce != self._nonce:
                 continue
-            keys.append(seq)
-        return keys
-
-    def close(self):
-        self._sock.close()
+            yield seq, recv_ns
 
 
-class _UdpTransport:
+class _UdpTransport(_EchoTransport):
     """UDP echo sender/receiver against a verbatim reflector. Replies carry
     the probe payload back unchanged; matching uses (timestamp, nonce)."""
 
@@ -226,38 +404,41 @@ class _UdpTransport:
         self._sock.connect((dst_ip, port))
         self._sock.setblocking(False)
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
+    def build(self, seq: int, ts_us: int, payload_bytes: int) -> tuple[int, bytes]:
+        return ts_us, _probe_payload(ts_us, self._nonce, payload_bytes)
 
-    def send(self, seq: int, ts_us: int, payload_bytes: int) -> int:
-        self._sock.send(_probe_payload(ts_us, self._nonce, payload_bytes))
-        return ts_us
+    def transmit(self, packet: bytes) -> None:
+        self._sock.send(packet)
 
-    def drain(self) -> list[int]:
-        keys = []
+    def drain(self):
         while True:
             try:
                 data = self._sock.recv(65535)
             except (BlockingIOError, InterruptedError):
-                break
+                return
             except OSError:
                 # queued ICMP error (port/host unreachable); consume and move on
                 continue
+            recv_ns = time.monotonic_ns()
             if len(data) < MIN_PAYLOAD_BYTES:
                 continue
             ts_us, nonce = _PROBE_PREFIX.unpack_from(data, 0)
             if nonce != self._nonce:
                 continue
-            keys.append(ts_us)
-        return keys
-
-    def close(self):
-        self._sock.close()
+            yield ts_us, recv_ns
 
 
-def _run_echo_loop(plan: ProbePlan, transport) -> list[tuple[int, Optional[float]]]:
+def _run_echo_loop(
+    plan: ProbePlan, transport, clock: Callable[[], int] = time.monotonic_ns
+) -> list[tuple[int, Optional[float]]]:
     """Interleave sends and receives on one socket; returns per-seq
-    (sent_at_us, rtt_s or None) in send order."""
+    (sent_at_us, rtt_s or None) in send order.
+
+    The send stamp is taken after the packet is built and just before it is
+    transmitted, so building a larger packet adds nothing to its RTT; the
+    receive stamp is the transport's, taken per reply. `clock` must be the
+    transport's clock (monotonic nanoseconds).
+    """
     sizes = plan.sizes_payload_bytes
     total = len(sizes) * plan.count_per_size
     gap_ns = int(plan.inter_probe_gap_s * 1e9)
@@ -267,10 +448,10 @@ def _run_echo_loop(plan: ProbePlan, transport) -> list[tuple[int, Optional[float
     done: dict[int, tuple[int, Optional[float]]] = {}
     last_ts_us = 0
     seq = 0
-    next_send_ns = time.monotonic_ns()
+    next_send_ns = clock()
 
     while seq < total or pending:
-        now_ns = time.monotonic_ns()
+        now_ns = clock()
 
         expired = [k for k, (_, sent_ns, _) in pending.items() if now_ns - sent_ns >= timeout_ns]
         for key in expired:
@@ -281,9 +462,10 @@ def _run_echo_loop(plan: ProbePlan, transport) -> list[tuple[int, Optional[float
             payload_bytes = sizes[seq % len(sizes)]
             ts_us = max(now_ns // 1000, last_ts_us + 1)
             last_ts_us = ts_us
-            sent_ns = time.monotonic_ns()
+            key, packet = transport.build(seq, ts_us, payload_bytes)
+            sent_ns = clock()
             try:
-                key = transport.send(seq, ts_us, payload_bytes)
+                transport.transmit(packet)
                 pending[key] = (seq, sent_ns, ts_us)
             except OSError:
                 done[seq] = (ts_us, None)  # unreachable network counts as loss
@@ -296,12 +478,9 @@ def _run_echo_loop(plan: ProbePlan, transport) -> list[tuple[int, Optional[float
             deadlines.append(next_send_ns)
         if not deadlines:
             continue  # everything sent and settled; loop condition ends us
-        wait_s = max(0.0, (min(deadlines) - time.monotonic_ns()) / 1e9)
-        readable, _, _ = select.select([transport.fileno()], [], [], wait_s)
-        if not readable:
+        if not transport.wait(max(0.0, (min(deadlines) - clock()) / 1e9)):
             continue
-        recv_ns = time.monotonic_ns()
-        for key in transport.drain():
+        for key, recv_ns in transport.drain():
             entry = pending.pop(key, None)
             if entry is None:
                 continue  # duplicate, late, or foreign reply
@@ -312,8 +491,8 @@ def _run_echo_loop(plan: ProbePlan, transport) -> list[tuple[int, Optional[float
     return [done[i] for i in range(total)]
 
 
-def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> list[ProbeSample]:
-    """Run one probing session and return samples in send order.
+def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatch:
+    """Run one probing session and return its samples in send order.
 
     Sends `count_per_size` probes per size, interleaving sizes round-robin so
     every size samples the same congestion epoch. Raises AllProbesLost when
@@ -340,25 +519,19 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> list[Probe
     finally:
         transport.close()
 
-    pid = path_id if path_id is not None else plan.target
-    sizes = plan.sizes_payload_bytes
-    samples = []
-    for i, (sent_at_us, rtt_s) in enumerate(results):
-        payload = sizes[i % len(sizes)]
-        samples.append(ProbeSample(
-            path_id=pid,
-            seq=i,
-            payload_bytes=payload,
-            wire_bits=wire_size(payload, plan.method),
-            sent_at_us=sent_at_us,
-            rtt_s=rtt_s,
-            lost=rtt_s is None,
-            method=plan.method,
-        ))
-
-    if all(s.lost for s in samples):
+    sent_at_us, rtt_s = zip(*results)
+    if all(rtt is None for rtt in rtt_s):
         raise AllProbesLost(f"all {total} probes to {plan.target} were lost")
-    return samples
+    sizes = plan.sizes_payload_bytes
+    return SampleBatch(
+        path_id=path_id if path_id is not None else plan.target,
+        method=plan.method,
+        seq=np.arange(total),
+        payload_bytes=np.tile(sizes, plan.count_per_size),
+        wire_bits=np.tile([wire_size(p, plan.method) for p in sizes], plan.count_per_size),
+        sent_at_us=sent_at_us,
+        rtt_s=rtt_s,
+    )
 
 
 class _TtlProber:

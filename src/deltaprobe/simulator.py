@@ -9,19 +9,20 @@ that affine slope, 1 / sum(1/C_i), is what the size-delta estimators
 recover in the noise-free regime and is exposed here as the ground truth.
 
 Same path, sizes, counts, and seed always produce the identical sample
-sequence (PCG64 stream).
+sequence (PCG64 stream, drawn hop by hop for all probes at once).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .probe import METHOD_SIMULATED, ProbeSample
+from .probe import METHOD_SIMULATED, SampleBatch
 
 RNG_ALGORITHM = "pcg64"
 
@@ -81,25 +82,34 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _traverse(path: SimPath, wire_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """End-to-end delays of probes of the given wire sizes; NaN where lost.
+
+    Hop by hop, draws one uniform per probe if the hop has loss_prob > 0 and
+    then one exponential per probe if it has queue_noise_mean_s > 0, so
+    noise-free hops leave the stream untouched. Fixed delays are added in the
+    order fixed_delay adds them, so noise-free delays equal it bit for bit.
+    """
+    delay = np.zeros(len(wire_bits))
+    lost = np.zeros(len(wire_bits), dtype=bool)
+    for hop in path.hops:
+        if hop.loss_prob > 0.0:
+            lost |= rng.random(len(wire_bits)) < hop.loss_prob
+        delay += wire_bits / hop.capacity_bps + hop.propagation_s + hop.processing_s
+        if hop.queue_noise_mean_s > 0.0:
+            delay += rng.exponential(hop.queue_noise_mean_s, len(wire_bits))
+    delay[lost] = np.nan
+    return delay
+
+
 def simulate_probe(
     path: SimPath, wire_bits: int, rng: np.random.Generator
 ) -> Optional[float]:
-    """One probe through the path; None means the probe was lost.
-
-    Consumes one uniform draw per traversed hop with loss_prob > 0 and one
-    exponential draw per traversed hop with queue_noise_mean_s > 0, so
-    noise-free hops leave the stream untouched.
-    """
+    """One probe through the path; None means the probe was lost."""
     if wire_bits <= 0:
         raise ValueError(f"wire_bits must be positive, got {wire_bits}")
-    delay = 0.0
-    for hop in path.hops:
-        if hop.loss_prob > 0.0 and rng.random() < hop.loss_prob:
-            return None
-        delay += wire_bits / hop.capacity_bps + hop.propagation_s + hop.processing_s
-        if hop.queue_noise_mean_s > 0.0:
-            delay += rng.exponential(hop.queue_noise_mean_s)
-    return delay
+    delay = float(_traverse(path, np.array([wire_bits]), rng)[0])
+    return None if math.isnan(delay) else delay
 
 
 def run_experiment(
@@ -108,7 +118,7 @@ def run_experiment(
     count_per_size: int,
     *,
     path_id: str = "sim",
-) -> list[ProbeSample]:
+) -> SampleBatch:
     """Emit count_per_size probes per wire size in round-robin order.
 
     One RNG stream seeded from path.seed drives the whole experiment, so the
@@ -125,24 +135,17 @@ def run_experiment(
     if count_per_size < 1:
         raise ValueError("count_per_size must be >= 1")
 
-    rng = make_rng(path.seed)
-    samples = []
-    seq = 0
-    for _ in range(count_per_size):
-        for size in sizes:
-            delay = simulate_probe(path, size, rng)
-            samples.append(ProbeSample(
-                path_id=path_id,
-                seq=seq,
-                payload_bytes=size // 8,
-                wire_bits=size,
-                sent_at_us=seq * 1000,  # synthetic 1 ms send spacing
-                rtt_s=delay,
-                lost=delay is None,
-                method=METHOD_SIMULATED,
-            ))
-            seq += 1
-    return samples
+    wire_bits = np.tile(np.array(sizes, dtype=np.int64), count_per_size)
+    seq = np.arange(len(wire_bits))
+    return SampleBatch(
+        path_id=path_id,
+        method=METHOD_SIMULATED,
+        seq=seq,
+        payload_bytes=wire_bits // 8,
+        wire_bits=wire_bits,
+        sent_at_us=seq * 1000,  # synthetic 1 ms send spacing
+        rtt_s=_traverse(path, wire_bits, make_rng(path.seed)),
+    )
 
 
 def path_from_config(config: dict) -> SimPath:

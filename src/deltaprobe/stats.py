@@ -10,10 +10,12 @@ samples in the order given (send order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import InsufficientSamples, NoSamples
-from .probe import ProbeSample
+from .probe import SampleBatch, Samples
 
 TRIM_FRACTION = 0.025
 
@@ -32,50 +34,40 @@ class DelaySummary:
     loss_rate: float
 
 
-def _delays(samples: Sequence[ProbeSample]) -> list[float]:
-    return [s.rtt_s for s in samples if not s.lost]
-
-
-def _mean_abs_consecutive_diff(delays: Sequence[float]) -> float:
-    if len(delays) < 2:
-        return 0.0
-    total = sum(abs(delays[i + 1] - delays[i]) for i in range(len(delays) - 1))
-    return total / (len(delays) - 1)
-
-
-def summarize(samples: Sequence[ProbeSample]) -> DelaySummary:
+def summarize(samples: Samples) -> DelaySummary:
     """Mean, 2.5%/97.5% nearest-rank bounds, jitter, and loss rate.
 
     Bounds cut the first and last 2.5% of the sorted non-lost delays:
     lower = sorted[floor(0.025*m)], upper = sorted[m-1-floor(0.025*m)].
     """
-    if not samples:
+    batch = SampleBatch.from_samples(samples)
+    n_total = len(batch)
+    if not n_total:
         raise NoSamples("no samples to summarize")
-    n_total = len(samples)
-    delays = _delays(samples)
-    n_lost = n_total - len(delays)
-    if not delays:
+    delays = batch.rtt_s[~batch.lost]
+    m = len(delays)
+    n_lost = n_total - m
+    if not m:
         return DelaySummary(
             n_total=n_total, n_lost=n_lost,
             mean_s=None, lower_2_5_s=None, upper_97_5_s=None, jitter_s=None,
             loss_rate=1.0,
         )
-    m = len(delays)
-    ordered = sorted(delays)
+    ordered = np.sort(delays)
     k = int(TRIM_FRACTION * m)
     return DelaySummary(
         n_total=n_total,
         n_lost=n_lost,
-        mean_s=sum(delays) / m,
-        lower_2_5_s=ordered[k],
-        upper_97_5_s=ordered[m - 1 - k],
-        jitter_s=_mean_abs_consecutive_diff(delays),
+        mean_s=float(delays.sum()) / m,
+        lower_2_5_s=float(ordered[k]),
+        upper_97_5_s=float(ordered[m - 1 - k]),
+        jitter_s=float(np.abs(np.diff(delays)).sum()) / (m - 1) if m > 1 else 0.0,
         loss_rate=n_lost / n_total,
     )
 
 
 def jitter_series(
-    samples: Sequence[ProbeSample], window: int
+    samples: Samples, window: int
 ) -> list[tuple[int, float]]:
     """Sliding-window jitter over the non-lost samples in send order.
 
@@ -85,14 +77,15 @@ def jitter_series(
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    alive = [s for s in samples if not s.lost]
-    if len(alive) < window:
+    batch = SampleBatch.from_samples(samples)
+    alive = ~batch.lost
+    delays = batch.rtt_s[alive]
+    if len(delays) < window:
         raise InsufficientSamples(
-            f"need >= {window} non-lost samples, got {len(alive)}"
+            f"need >= {window} non-lost samples, got {len(delays)}"
         )
-    series = []
-    for end in range(window, len(alive) + 1):
-        chunk = alive[end - window:end]
-        jitter = _mean_abs_consecutive_diff([s.rtt_s for s in chunk])
-        series.append((chunk[-1].sent_at_us, jitter))
-    return series
+    # window sums of |delta| as differences of one running sum; its terms are
+    # nonnegative, so a window of equal delays sums to exactly zero
+    running = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(delays)))))
+    jitter = (running[window - 1:] - running[:len(running) - window + 1]) / (window - 1)
+    return list(zip(batch.sent_at_us[alive][window - 1:].tolist(), jitter.tolist()))

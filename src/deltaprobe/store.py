@@ -2,22 +2,27 @@
 
 A session file is UTF-8 JSONL: one metadata line carrying the schema
 version, identifiers, plan, and optional path features, then one line per
-sample in seq order. Unknown fields on any line survive a load/save round
-trip untouched, so newer writers stay readable.
+sample in seq order. Every sample line of a file has the same path_id and
+method. Unknown fields on any line survive a load/save round trip
+untouched, so newer writers stay readable.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
+import operator
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
 from .intercept import PathFeatures
-from .probe import METHOD_IMPORTED, ProbePlan, ProbeSample
+from .probe import METHOD_IMPORTED, InvalidSample, ProbePlan, SampleBatch, Samples
 from .simulator import Hop, SimPath
 
 logger = logging.getLogger(__name__)
@@ -38,25 +43,39 @@ _SAMPLE_FIELDS = (
     "path_id", "seq", "payload_bytes", "wire_bits", "sent_at_us",
     "rtt_s", "lost", "method",
 )
+_sample_fields_of = operator.itemgetter(*_SAMPLE_FIELDS)
 _TRUTHY = {"1", "true", "yes", "y", "lost"}
+
+# Sample lines written or parsed at a time: a session is never held whole
+# as text or as parsed JSON objects, only as columns.
+_CHUNK_LINES = 2048
+
+# Largest magnitude taken from a CSV number as an integer: wire bits of a
+# size in bytes still fit in int64.
+_CSV_INT_LIMIT = 2.0 ** 59
 
 
 @dataclass
 class SessionRecord:
-    """One measurement session: metadata plus its samples in seq order."""
+    """One measurement session: metadata plus its samples in seq order.
+
+    `samples` may be given as a SampleBatch or a sequence of ProbeSample
+    rows; it is held as a SampleBatch.
+    """
 
     session_id: str
     created_at: str  # ISO 8601, UTC
     plan: Union[ProbePlan, SimPath, None]
-    samples: list[ProbeSample]
+    samples: SampleBatch
     features: Optional[PathFeatures] = None
     extra: dict = field(default_factory=dict)
     sample_extras: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self):
-        seqs = [s.seq for s in self.samples]
-        if seqs != sorted(seqs):
-            raise ValueError("samples must be ordered by seq")
+        self.samples = SampleBatch.from_samples(self.samples)
+        unordered = np.flatnonzero(np.diff(self.samples.seq) < 0)
+        if unordered.size:
+            raise InvalidSample(int(unordered[0]) + 1, "samples must be ordered by seq")
 
 
 def _plan_to_json(plan: Union[ProbePlan, SimPath, None]) -> Optional[dict]:
@@ -126,6 +145,33 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
+    """One JSON line per sample, each ending in a newline, byte for byte what
+    _dump makes of the sample's fields: keys in sorted order, floats by repr."""
+    def scalar(value) -> str:
+        return json.dumps(value).replace("%", "%%")
+
+    template = (
+        '{"lost":%s,"method":' + scalar(samples.method)
+        + ',"path_id":' + scalar(samples.path_id)
+        + ',"payload_bytes":%d,"rtt_s":%s,"sent_at_us":%d,"seq":%d,"wire_bits":%d}\n'
+    )
+    n = len(samples)
+    lost_text = ["false"] * n
+    rtt_text = list(map(repr, samples.rtt_s.tolist()))
+    for i in np.flatnonzero(samples.lost).tolist():
+        lost_text[i], rtt_text[i] = "true", "null"
+    lines = list(map(template.__mod__, zip(
+        lost_text, samples.payload_bytes.tolist(), rtt_text,
+        samples.sent_at_us.tolist(), samples.seq.tolist(), samples.wire_bits.tolist(),
+    )))
+    for seq, extra in sample_extras.items():
+        for i in np.flatnonzero(samples.seq == seq).tolist():
+            row = samples[i]
+            lines[i] = _dump({**{name: getattr(row, name) for name in _SAMPLE_FIELDS}, **extra}) + "\n"
+    return "".join(lines)
+
+
 def save_session(record: SessionRecord, path) -> None:
     """Write the session as JSONL and fsync before returning."""
     meta = {
@@ -136,97 +182,174 @@ def save_session(record: SessionRecord, path) -> None:
         "features": _features_to_json(record.features),
     }
     meta.update(record.extra)
-    lines = [_dump(meta)]
-    for sample in record.samples:
-        obj = {name: getattr(sample, name) for name in _SAMPLE_FIELDS}
-        obj.update(record.sample_extras.get(sample.seq, {}))
-        lines.append(_dump(obj))
+    samples = record.samples
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_dump(meta) + "\n")
+        for start in range(0, len(samples), _CHUNK_LINES):
+            fh.write(_sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras))
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _parse_line(line_no: int, text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptLine(line_no, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise CorruptLine(line_no, "expected a JSON object")
+    return obj
+
+
+def _parse_chunk(lines: list[str], first_line_no: int) -> tuple[list[dict], list[tuple], np.ndarray]:
+    """The sample objects of consecutive lines, their known fields as tuples
+    in _SAMPLE_FIELDS order, and their line numbers. One json.loads call
+    parses the whole chunk; on any failure the chunk is parsed again line by
+    line, which skips blank lines and names the first bad line."""
+    try:
+        objs = json.loads("[" + ",".join(lines) + "]")
+        if len(objs) == len(lines):
+            return objs, list(map(_sample_fields_of, objs)), np.arange(
+                first_line_no, first_line_no + len(lines))
+    except (ValueError, KeyError, TypeError):
+        pass
+    objs, rows, line_nos = [], [], []
+    for line_no, text in enumerate(lines, start=first_line_no):
+        if not text.strip():
+            continue
+        obj = _parse_line(line_no, text)
+        try:
+            rows.append(_sample_fields_of(obj))
+        except KeyError as exc:
+            raise CorruptLine(line_no, f"bad sample: missing field {exc}") from exc
+        objs.append(obj)
+        line_nos.append(line_no)
+    return objs, rows, np.array(line_nos, dtype=np.int64)
+
+
+def _load_samples(fh) -> tuple[SampleBatch, dict[int, dict], np.ndarray]:
+    """The samples of the sample lines left in `fh` (line 2 onwards), read
+    and checked a chunk at a time; also the unknown fields of each sample
+    that has any, keyed by seq, and the line number of each sample."""
+    batches, line_nos = [], []
+    sample_extras: dict[int, dict] = {}
+    first_line_no = 2
+    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        objs, rows, chunk_line_nos = _parse_chunk(lines, first_line_no)
+        first_line_no += len(lines)
+        if not rows:
+            continue
+        path_ids, seqs, payload, wire, sent, rtts, losts, methods = zip(*rows)
+        if not batches:
+            path_id, method = path_ids[0], methods[0]
+        try:
+            batches.append(SampleBatch(path_id, method, seqs, payload, wire, sent, rtts))
+            matches = [lost is (rtt is None) for lost, rtt in zip(losts, rtts)]
+            if not all(matches):
+                raise InvalidSample(matches.index(False),
+                                    "lost must be true exactly when rtt_s is null")
+        except InvalidSample as exc:
+            raise CorruptLine(int(chunk_line_nos[exc.index]), f"bad sample: {exc}") from exc
+        for name, values, want in (("path_id", path_ids, path_id), ("method", methods, method)):
+            if values.count(want) != len(values):
+                i = next(i for i, v in enumerate(values) if v != want)
+                raise CorruptLine(int(chunk_line_nos[i]), f"{name} {values[i]!r} differs "
+                                                          f"from the first sample's {want!r}")
+        if sum(map(len, objs)) != len(_SAMPLE_FIELDS) * len(objs):
+            for obj in objs:
+                if len(obj) > len(_SAMPLE_FIELDS):
+                    sample_extras[obj["seq"]] = {
+                        k: v for k, v in obj.items() if k not in _SAMPLE_FIELDS
+                    }
+        line_nos.append(chunk_line_nos)
+    if not batches:
+        return SampleBatch.from_samples(()), sample_extras, np.zeros(0, dtype=np.int64)
+    return SampleBatch.concat(batches), sample_extras, np.concatenate(line_nos)
 
 
 def load_session(path) -> SessionRecord:
     """Reload a session file written by save_session.
 
     Raises SchemaMismatch for unrecognized schema versions and CorruptLine
-    (with the 1-based line number) for unparseable lines.
+    (with the 1-based line number) for unparseable lines, invalid samples,
+    and sample lines that disagree on path_id or method.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines:
-        raise CorruptLine(1, "file is empty")
-
-    def parse(line_no: int, text: str) -> dict:
+        first_line = fh.readline()
+        if not first_line:
+            raise CorruptLine(1, "file is empty")
+        meta = _parse_line(1, first_line)
+        schema = meta.pop("schema", None)
+        if schema != SCHEMA_VERSION:
+            raise SchemaMismatch(f"unsupported schema version {schema!r}")
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CorruptLine(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise CorruptLine(line_no, "expected a JSON object")
-        return obj
-
-    meta = parse(1, raw_lines[0])
-    schema = meta.pop("schema", None)
-    if schema != SCHEMA_VERSION:
-        raise SchemaMismatch(f"unsupported schema version {schema!r}")
+            session_id = meta.pop("session_id")
+            created_at = meta.pop("created_at")
+            plan = _plan_from_json(meta.pop("plan", None))
+            features_obj = meta.pop("features", None)
+            features = PathFeatures(**features_obj) if features_obj else None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptLine(1, f"bad metadata: {exc}") from exc
+        samples, sample_extras, line_nos = _load_samples(fh)
     try:
-        session_id = meta.pop("session_id")
-        created_at = meta.pop("created_at")
-        plan = _plan_from_json(meta.pop("plan", None))
-        features_obj = meta.pop("features", None)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptLine(1, f"bad metadata: {exc}") from exc
-    features = PathFeatures(**features_obj) if features_obj else None
-
-    samples = []
-    sample_extras: dict[int, dict] = {}
-    for line_no, text in enumerate(raw_lines[1:], start=2):
-        if not text.strip():
-            continue
-        obj = parse(line_no, text)
-        try:
-            kwargs = {name: obj.pop(name) for name in _SAMPLE_FIELDS}
-            sample = ProbeSample(**kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptLine(line_no, f"bad sample: {exc}") from exc
-        samples.append(sample)
-        if obj:
-            sample_extras[sample.seq] = obj
-
-    return SessionRecord(
-        session_id=session_id,
-        created_at=created_at,
-        plan=plan,
-        samples=samples,
-        features=features,
-        extra=meta,
-        sample_extras=sample_extras,
-    )
+        return SessionRecord(
+            session_id=session_id,
+            created_at=created_at,
+            plan=plan,
+            samples=samples,
+            features=features,
+            extra=meta,
+            sample_extras=sample_extras,
+        )
+    except InvalidSample as exc:
+        raise CorruptLine(int(line_nos[exc.index]), f"bad sample: {exc}") from exc
 
 
-def export_csv(samples: Sequence[ProbeSample], path) -> None:
+def export_csv(samples: Samples, path) -> None:
     """Write samples to CSV with the canonical column set."""
+    batch = SampleBatch.from_samples(samples)
+    lost = batch.lost
+    rtt_text = ["" if gone else repr(rtt) for rtt, gone in zip(batch.rtt_s.tolist(), lost.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for s in samples:
-            writer.writerow([
-                s.seq, s.payload_bytes, s.wire_bits, s.sent_at_us,
-                "" if s.rtt_s is None else repr(s.rtt_s),
-                int(s.lost),
-            ])
+        writer.writerows(zip(
+            batch.seq.tolist(), batch.payload_bytes.tolist(), batch.wire_bits.tolist(),
+            batch.sent_at_us.tolist(), rtt_text, lost.astype(int).tolist(),
+        ))
 
 
-def import_csv(path, mapping: dict, *, path_id: str = "import") -> list[ProbeSample]:
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _float_column(cells: list) -> np.ndarray:
+    """A CSV column as floats; cells that do not parse become NaN."""
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
+
+
+def _int_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """A CSV column of numbers truncated to integers, with the mask of cells
+    that hold a finite number small enough to keep."""
+    values = _float_column(cells)
+    ok = np.abs(values) < _CSV_INT_LIMIT  # False for NaN and inf
+    return np.where(ok, values, 0).astype(np.int64), ok
+
+
+def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     """Read externally collected size/delay rows into probe samples.
 
     `mapping` names the columns: required keys "size" and "delay", optional
     "timestamp" (microseconds) and "lost"; "size_unit" declares whether the
-    size column is in "bytes" (default) or "bits". Rows whose delay does not
-    parse become lost samples; rows whose size does not parse are skipped.
-    Both are tallied in a single warning.
+    size column is in "bytes" (default) or "bits". Rows whose delay is not a
+    positive finite number become lost samples; rows whose size does not
+    parse are skipped. Both are tallied in a single warning.
     """
     for key in ("size", "delay"):
         if key not in mapping:
@@ -236,69 +359,60 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> list[ProbeSam
         raise ValueError(f'size_unit must be "bytes" or "bits", got {size_unit!r}')
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path}: no header row")
-        columns = set(reader.fieldnames)
         for key in ("size", "delay", "timestamp", "lost"):
             column = mapping.get(key)
-            if column is not None and column not in columns:
+            if column is not None and column not in header:
                 raise MissingColumn(f"{path}: column {column!r} not in header")
-        rows = list(reader)
+        rows = [row for row in reader if row]
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
 
-    samples = []
-    bad_delays = 0
-    bad_sizes = 0
-    for idx, row in enumerate(rows):
-        try:
-            size = int(float(row[mapping["size"]]))
-            wire_bits = size * 8 if size_unit == "bytes" else size
-            if wire_bits < 8:
-                raise ValueError
-        except (TypeError, ValueError):
-            bad_sizes += 1
-            continue
+    def cells(key: str) -> list:
+        # as csv.DictReader reads it: the last column of that name, and ""
+        # (a cell that does not parse) where a row is short
+        i = max(i for i, name in enumerate(header) if name == mapping[key])
+        return [row[i] if i < len(row) else "" for row in rows]
 
-        lost = False
-        if mapping.get("lost") is not None:
-            lost = str(row[mapping["lost"]]).strip().lower() in _TRUTHY
-        rtt_s = None
-        if not lost:
-            try:
-                rtt_s = float(row[mapping["delay"]])
-                if not rtt_s > 0:
-                    raise ValueError
-            except (TypeError, ValueError):
-                bad_delays += 1
-                rtt_s = None
-        lost = rtt_s is None
+    size, size_ok = _int_column(cells("size"))
+    wire_bits = size * 8 if size_unit == "bytes" else size
+    kept = size_ok & (wire_bits >= 8)
 
-        sent_at_us = idx
-        if mapping.get("timestamp") is not None:
-            try:
-                sent_at_us = int(float(row[mapping["timestamp"]]))
-            except (TypeError, ValueError):
-                pass
+    index = np.arange(len(rows))
+    rtt_s = _float_column(cells("delay"))
+    bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
+    if mapping.get("lost") is not None:
+        lost = np.array([c.strip().lower() in _TRUTHY for c in cells("lost")], dtype=bool)
+        bad_delay &= ~lost
+        rtt_s[lost] = np.nan
+    rtt_s[bad_delay] = np.nan
 
-        samples.append(ProbeSample(
-            path_id=path_id,
-            seq=idx,
-            payload_bytes=wire_bits // 8,
-            wire_bits=wire_bits,
-            sent_at_us=sent_at_us,
-            rtt_s=rtt_s,
-            lost=lost,
-            method=METHOD_IMPORTED,
-        ))
+    sent_at_us = index
+    if mapping.get("timestamp") is not None:
+        stamp, stamp_ok = _int_column(cells("timestamp"))
+        sent_at_us = np.where(stamp_ok, stamp, index)
 
+    bad_delays = int((bad_delay & kept).sum())
+    bad_sizes = len(rows) - int(kept.sum())
+    if bad_sizes == len(rows):
+        raise EmptyFile(f"{path}: no row has a usable size")
     if bad_delays or bad_sizes:
         logger.warning(
             "%s: %d rows with unparseable delay treated as lost, %d rows skipped",
             path, bad_delays, bad_sizes,
         )
-    return samples
+    return SampleBatch(
+        path_id=path_id,
+        method=METHOD_IMPORTED,
+        seq=index[kept],
+        payload_bytes=wire_bits[kept] // 8,
+        wire_bits=wire_bits[kept],
+        sent_at_us=sent_at_us[kept],
+        rtt_s=rtt_s[kept],
+    )
 
 
 def read_observations_csv(path) -> list[tuple[PathFeatures, float]]:

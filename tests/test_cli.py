@@ -385,3 +385,79 @@ def test_config_file_unknown_key_exits_65(tmp_path):
     config.write_text("warp_factor=9\n")
     assert main(["simulate", str(two_hop_config(tmp_path)),
                  "--config", str(config)]) == 65
+
+
+def test_config_file_seed_matches_seed_flag(tmp_path):
+    path_config = tmp_path / "noisy.json"
+    path_config.write_text(json.dumps({
+        "seed": 5,
+        "hops": [{"capacity_bps": 1e6, "queue_noise_mean_s": 0.003}],
+    }))
+    config = tmp_path / "deltaprobe.conf"
+    config.write_text("seed=99\n")
+    from_file, from_flag, own = (tmp_path / f"{n}.jsonl" for n in ("file", "flag", "own"))
+    assert main(["simulate", str(path_config), "--config", str(config),
+                 "--output", str(from_file)]) == 0
+    assert main(["simulate", str(path_config), "--seed", "99", "--output", str(from_flag)]) == 0
+    assert main(["simulate", str(path_config), "--output", str(own)]) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
+    assert from_file.read_bytes() != own.read_bytes()
+
+
+def test_usage_error_then_valid_command_in_one_process(adsl_csv, capsys):
+    assert main(["frobnicate"]) == 64
+    assert main(["estimate"]) == 64
+    assert main(["estimate", "--json", str(adsl_csv)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["b_av_bps"] == pytest.approx(341333.33, abs=1.0)
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+# ---------------------------------------------------------------------------
+
+def test_estimate_csv_infinite_size_row_skipped(tmp_path, capsys, caplog):
+    csv_path = tmp_path / "inf.csv"
+    csv_path.write_text("size_bytes,delay_s\n100,0.018\ninf,0.03\n1124,0.042\n")
+    assert main(["estimate", "--json", str(csv_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["samples_per_size"] == {"800": 1, "8992": 1}
+    assert "0 rows with unparseable delay treated as lost, 1 rows skipped" in caplog.text
+
+
+def test_estimate_csv_without_usable_size_exits_65(tmp_path):
+    csv_path = tmp_path / "nosize.csv"
+    csv_path.write_text("size_bytes,delay_s\ninf,0.018\nnan,0.03\nx,0.04\n")
+    assert main(["estimate", str(csv_path)]) == 65
+
+
+def test_estimate_csv_nonfinite_delays_are_lost(tmp_path, capsys, caplog):
+    csv_path = tmp_path / "nonfinite.csv"
+    csv_path.write_text("size_bytes,delay_s\n100,0.018\n100,inf\n1124,0.042\n"
+                        "1124,nan\n1124,-inf\n")
+    assert main(["estimate", "--json", str(csv_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["samples_per_size"] == {"800": 1, "8992": 1}
+    assert payload["b_av_bps"] == pytest.approx(341333.33, abs=1.0)
+    assert "3 rows with unparseable delay treated as lost, 0 rows skipped" in caplog.text
+
+
+def test_stats_session_with_infinite_rtt_exits_65(sim_session, capsys):
+    lines = sim_session.read_text().splitlines()
+    sample = json.loads(lines[3])
+    sample["rtt_s"] = float("inf")
+    lines[3] = json.dumps(sample)  # written as the non-standard literal Infinity
+    sim_session.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--json", str(sim_session)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4" in captured.err
+
+
+def test_session_with_invalid_features_exits_65(sim_session, capsys):
+    lines = sim_session.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["features"] = {"path_id": "x", "hop_count_n": 0, "route_length_l_km": 10.0}
+    sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    assert main(["stats", str(sim_session)]) == 65
+    assert "CorruptLine: line 1" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+import random
 import socket
 import threading
 
@@ -5,8 +7,13 @@ import pytest
 
 from deltaprobe.errors import AllProbesLost, NoReply, ResolveFailure
 from deltaprobe.probe import (
+    InvalidSample,
     ProbePlan,
     ProbeSample,
+    SampleBatch,
+    _build_echo_request,
+    _icmp_checksum,
+    _run_echo_loop,
     discover_hops,
     run_session,
     wire_size,
@@ -222,3 +229,168 @@ def test_discover_hops_bounded_search():
 @needs_icmp
 def test_discover_hops_loopback_is_one():
     assert discover_hops("127.0.0.1", max_ttl=5, timeout_s=1.0) == 1
+
+
+# ---------------------------------------------------------------------------
+# sample batches
+# ---------------------------------------------------------------------------
+
+def _rows():
+    return [
+        ProbeSample("p", 0, 100, 1024, 0, 0.018, False, "icmp_echo"),
+        ProbeSample("p", 1, 1124, 9216, 1000, None, True, "icmp_echo"),
+        ProbeSample("p", 2, 100, 1024, 2000, 0.019, False, "icmp_echo"),
+    ]
+
+
+def test_batch_is_a_sequence_of_rows():
+    rows = _rows()
+    batch = SampleBatch.from_samples(rows)
+    assert len(batch) == 3
+    assert list(batch) == rows
+    assert batch[1] == rows[1] and batch[-1] == rows[-1]
+    assert batch[1].rtt_s is None and batch[1].lost
+    with pytest.raises(IndexError):
+        batch[3]
+    tail = batch[1:]
+    assert isinstance(tail, SampleBatch) and list(tail) == rows[1:]
+    assert batch == SampleBatch.from_samples(list(batch))
+    assert batch != tail
+    assert batch.lost.tolist() == [False, True, False]
+    assert SampleBatch.from_samples(batch) is batch
+
+
+def test_batch_columns_are_read_only():
+    batch = SampleBatch.from_samples(_rows())
+    with pytest.raises(ValueError):
+        batch.rtt_s[0] = 1.0
+
+
+@pytest.mark.parametrize("column, value, row", [
+    ("seq", [0, -1, 2], 1),
+    ("payload_bytes", [100, 1124, 0], 2),
+    ("wire_bits", [1024, 8000, 1024], 1),
+    ("rtt_s", [0.018, None, -0.5], 2),
+    ("rtt_s", [math.inf, None, 0.019], 0),
+    ("rtt_s", [0.018, None, "0.019"], 2),
+    ("sent_at_us", [0, True, 2000], 1),
+    ("seq", [0, 1, 2**64], 2),
+])
+def test_batch_rejects_bad_rows_by_index(column, value, row):
+    good = SampleBatch.from_samples(_rows())
+    columns = {name: getattr(good, name).tolist() for name in
+               ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")}
+    columns[column] = value
+    with pytest.raises(InvalidSample) as excinfo:
+        SampleBatch("p", "icmp_echo", **columns)
+    assert excinfo.value.index == row
+
+
+def test_batch_rejects_unknown_method_and_mixed_paths():
+    for method in ("carrier_pigeon", {}):
+        with pytest.raises(ValueError):
+            SampleBatch("p", method, [0], [100], [1024], [0], [0.01])
+    rows = _rows()
+    rows[2] = ProbeSample("q", 2, 100, 1024, 2000, 0.019, False, "icmp_echo")
+    with pytest.raises(ValueError):
+        SampleBatch.from_samples(rows)
+
+
+def test_sample_rejects_nonfinite_rtt():
+    with pytest.raises(ValueError):
+        ProbeSample(path_id="p", seq=0, payload_bytes=100, wire_bits=1024,
+                    sent_at_us=0, rtt_s=math.inf, lost=False, method="icmp_echo")
+
+
+# ---------------------------------------------------------------------------
+# echo loop timestamps, on a fake transport and clock
+# ---------------------------------------------------------------------------
+
+class FakeClock:
+    def __init__(self):
+        self.now_ns = 10**9
+
+    def __call__(self):
+        return self.now_ns
+
+
+class FakeEcho:
+    """Transport stand-in on a fake clock. Building a packet takes
+    `build_ns_per_byte` per payload byte, each receive call takes
+    `recv_ns`, and a reply becomes readable `delay_ns` after its send but
+    not before `release_ns`."""
+
+    def __init__(self, clock, build_ns_per_byte=0, recv_ns=0, delay_ns=0, release_ns=0):
+        self.clock = clock
+        self.build_ns_per_byte = build_ns_per_byte
+        self.recv_ns = recv_ns
+        self.delay_ns = delay_ns
+        self.release_ns = release_ns
+        self.replies = []  # (readable at, key), in send order
+
+    def build(self, seq, ts_us, payload_bytes):
+        self.clock.now_ns += self.build_ns_per_byte * payload_bytes
+        return seq, seq.to_bytes(2, "big") + bytes(payload_bytes)
+
+    def transmit(self, packet):
+        ready = max(self.clock.now_ns + self.delay_ns, self.release_ns)
+        self.replies.append((ready, int.from_bytes(packet[:2], "big")))
+
+    def wait(self, timeout_s):
+        deadline = self.clock.now_ns + int(timeout_s * 1e9)
+        if self.replies and self.replies[0][0] <= deadline:
+            self.clock.now_ns = max(self.clock.now_ns, self.replies[0][0])
+            return True
+        self.clock.now_ns = deadline
+        return False
+
+    def drain(self):
+        while self.replies and self.replies[0][0] <= self.clock.now_ns:
+            _, key = self.replies.pop(0)
+            self.clock.now_ns += self.recv_ns
+            yield key, self.clock.now_ns
+
+
+def test_echo_loop_excludes_packet_build_time_from_rtt():
+    # an echo that adds no delay, and a packet build that grows with size:
+    # every RTT is the clock floor, whatever the size
+    clock = FakeClock()
+    echo = FakeEcho(clock, build_ns_per_byte=500)
+    plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, 1124),
+                     count_per_size=3, inter_probe_gap_s=0.001, timeout_s=0.5)
+    results = _run_echo_loop(plan, echo, clock)
+    assert [rtt for _, rtt in results] == [1e-9] * 6
+
+
+def test_echo_loop_stamps_each_reply_at_its_own_receive():
+    # both replies become readable together 10 ms after the first send;
+    # reading each takes 100 us, so the second is read 200 us after wakeup
+    clock = FakeClock()
+    start = clock.now_ns
+    echo = FakeEcho(clock, recv_ns=100_000, release_ns=start + 10_000_000)
+    plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, 1124),
+                     count_per_size=1, inter_probe_gap_s=0.001, timeout_s=0.5)
+    (_, rtt0), (_, rtt1) = _run_echo_loop(plan, echo, clock)
+    assert rtt0 == pytest.approx(10.1e-3, abs=1e-12)  # sent at 0, read at 10.1 ms
+    assert rtt1 == pytest.approx(9.2e-3, abs=1e-12)  # sent at 1 ms, read at 10.2 ms
+
+
+def _reference_checksum(data: bytes) -> int:
+    """RFC 1071 over 16-bit words, one word at a time."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) + data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def test_icmp_checksum_matches_word_loop():
+    rng = random.Random(5)
+    cases = [b"", b"\x00" * 10, b"\xff" * 10, b"\xff\xff\x00\x00", b"\x01", b"\xff\xfe\x00\x01"]
+    cases += [rng.randbytes(rng.randint(1, 1200)) for _ in range(300)]
+    for data in cases:
+        assert _icmp_checksum(data) == _reference_checksum(data), data
+    packet = _build_echo_request(0x1234, 7, bytes(range(256)) * 4 + b"\x05")
+    assert _reference_checksum(packet) == 0  # a checksummed message sums to 0xFFFF

@@ -147,3 +147,22 @@ def test_series_insufficient_samples():
 def test_series_window_validation():
     with pytest.raises(ValueError):
         jitter_series(make_series(800, [0.01, 0.02]), window=1)
+
+
+def test_series_matches_per_window_loop_on_long_input():
+    # the running-sum windows against one sum per window; with 20k delays
+    # the running sum drifts by about n * eps relative to one window's sum
+    rng = np.random.default_rng(44)
+    delays = [None if rng.random() < 0.01 else float(d) for d in rng.uniform(0.001, 0.2, 20_000)]
+    samples = make_series(800, delays)
+    window = 10
+    alive = [s for s in samples if not s.lost]
+    expected = []
+    for end in range(window, len(alive) + 1):
+        chunk = [s.rtt_s for s in alive[end - window:end]]
+        total = sum(abs(b - a) for a, b in zip(chunk, chunk[1:]))
+        expected.append((alive[end - 1].sent_at_us, total / (window - 1)))
+    series = jitter_series(samples, window)
+    assert [ts for ts, _ in series] == [ts for ts, _ in expected]
+    scale = sum(j for _, j in expected) / len(expected)
+    assert max(abs(a - b) for (_, a), (_, b) in zip(series, expected)) <= 1e-9 * scale

@@ -255,3 +255,80 @@ def test_read_observations_missing_column(tmp_path):
     csv_path.write_text("path_id,n,a_s\np1,5,0.0055\n")
     with pytest.raises(MissingColumn):
         read_observations_csv(csv_path)
+
+
+# ---------------------------------------------------------------------------
+# sample lines in bulk
+# ---------------------------------------------------------------------------
+
+def _reference_line(sample, extra=None):
+    """What a sample line must be: its fields through json.dumps."""
+    obj = {name: getattr(sample, name) for name in
+           ("path_id", "seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s", "lost", "method")}
+    obj.update(extra or {})
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_sample_lines_match_json_dumps(tmp_path):
+    rng = np.random.default_rng(53)
+    for i, path_id in enumerate(['plain', 'quote " and % and \\', "höst-☃", ""]):
+        n = int(rng.integers(1, 200))
+        rtts = [None if rng.random() < 0.2 else float(rng.uniform(1e-7, 3.0)) * 10.0 ** int(rng.integers(-3, 3))
+                for _ in range(n)]
+        samples = [make_sample(int(rng.choice([1024, 9216])), rtt, seq=k, path_id=path_id,
+                               sent_at_us=int(rng.integers(0, 2**62)), method="udp_echo")
+                   for k, rtt in enumerate(rtts)]
+        extras = {0: {"probe_color": "blue"}, n - 1: {"note": [1, 2.5, None]}}
+        record = SessionRecord(session_id=f"b{i}", created_at="t", plan=None,
+                               samples=samples, sample_extras=extras)
+        path = tmp_path / f"b{i}.jsonl"
+        save_session(record, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [_reference_line(s, extras.get(s.seq)) for s in samples]
+        assert load_session(path) == record
+
+
+def _long_session(tmp_path, n=5000):
+    samples = [make_sample(1024 if k % 2 else 9216, 0.01 + k * 1e-6, seq=k) for k in range(n)]
+    path = tmp_path / "long.jsonl"
+    save_session(SessionRecord(session_id="long", created_at="t", plan=None, samples=samples), path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_names_bad_line_beyond_first_chunk(tmp_path):
+    path, lines = _long_session(tmp_path)
+    for line_no, text in ((4000, '{"seq": 3998,'), (3001, lines[3000].replace('"seq":2999', '"seq":-1')),
+                          (4500, lines[4499].replace('"lost":false', '"lost":"no"')),
+                          (2500, lines[2499].replace('"seq":', '"sequence":')),
+                          (2, lines[1].replace('"method":"simulated"', '"method":"pigeon"'))):
+        bad = list(lines)
+        bad[line_no - 1] = text
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(CorruptLine) as excinfo:
+            load_session(path)
+        assert excinfo.value.line_number == line_no
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path, lines = _long_session(tmp_path)
+    record = load_session(path)
+    path.write_text("\n".join(lines[:3000] + ["", "  "] + lines[3000:]) + "\n")
+    assert load_session(path) == record
+
+
+def test_load_rejects_mixed_path_ids(tmp_path):
+    path, lines = _long_session(tmp_path)
+    lines[2600] = lines[2600].replace('"path_id":"test"', '"path_id":"other"')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptLine) as excinfo:
+        load_session(path)
+    assert excinfo.value.line_number == 2601
+
+
+def test_load_rejects_samples_out_of_seq_order(tmp_path):
+    path, lines = _long_session(tmp_path, n=10)
+    lines[5], lines[6] = lines[6], lines[5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptLine) as excinfo:
+        load_session(path)
+    assert excinfo.value.line_number == 7
