@@ -48,7 +48,8 @@ _ESTIMATION_ERRORS = (
     InsufficientPoints, NonPositiveSlope, RankDeficient, InsufficientObservations,
     NoSamples, InsufficientSamples,
 )
-_DATA_ERRORS = (SchemaMismatch, CorruptLine, MissingColumn, EmptyFile, ConfigError)
+_DATA_ERRORS = (SchemaMismatch, CorruptLine, MissingColumn, EmptyFile, ConfigError,
+                probe.InvalidSample)
 _ENV_ERRORS = (ResolveFailure, ProbePermissionError, NoReply)
 
 # Deterministic stand-in for wall-clock time in simulated sessions, so equal
@@ -253,13 +254,15 @@ def cmd_probe(args, cfg: CliConfig) -> int:
 
 def cmd_estimate(args, cfg: CliConfig) -> int:
     """Estimate bandwidth from a stored session or a CSV of delays."""
+    threshold = args.min_samples if args.min_samples is not None else cfg.min_samples
+    if threshold < 1:
+        raise UsageError(f"--min-samples must be >= 1, got {threshold}")
     samples = _load_samples(args, cfg)
     if args.one_way_halve:
         # Delays are round-trip by default; halving assumes a symmetric path.
         print("warning: --one-way-halve assumes a symmetric path; "
               "delays divided by 2", file=sys.stderr)
         samples = samples.replace(rtt_s=samples.rtt_s / 2)
-    threshold = args.min_samples if args.min_samples is not None else cfg.min_samples
     profile = estimator.min_delay_profile(samples, threshold)
     est = _estimate_profile(profile)
     if cfg.format == "json":
@@ -351,6 +354,8 @@ def cmd_calibrate(args, cfg: CliConfig) -> int:
 
 def cmd_stats(args, cfg: CliConfig) -> int:
     """Summarize delays of a stored session."""
+    if args.series and args.window < 2:
+        raise UsageError(f"--window must be >= 2, got {args.window}")
     record = store.load_session(args.input)
     summary = stats.summarize(record.samples)
     if args.series:

@@ -9,12 +9,14 @@ untouched, so newer writers stay readable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import logging
 import operator
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -191,6 +193,13 @@ def save_session(record: SessionRecord, path) -> None:
         os.fsync(fh.fileno())
 
 
+def _decode(line_no: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptLine(line_no, f"invalid UTF-8 at byte {exc.start}") from exc
+
+
 def _parse_line(line_no: int, text: str) -> dict:
     try:
         obj = json.loads(text)
@@ -201,20 +210,62 @@ def _parse_line(line_no: int, text: str) -> dict:
     return obj
 
 
-def _parse_chunk(lines: list[str], first_line_no: int) -> tuple[list[dict], list[tuple], np.ndarray]:
+# A sample line exactly as _sample_lines writes it, with the JSON number
+# grammar, integers of at most 18 digits (np.fromstring saturates int64
+# silently), ASCII strings without escapes, and rtt_s null exactly when lost
+# is true.
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+_SAMPLE_LINE = re.compile(
+    rb'^\{"lost":(?:(?P<lost>true)|false)'
+    rb',"method":"(?P<method>[\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+    rb',"path_id":"(?P<path_id>[\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+    rb',"payload_bytes":(?P<payload_bytes>' + _INT + rb')'
+    rb',"rtt_s":(?P<rtt_s>(?(lost)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+    rb',"sent_at_us":(?P<sent_at_us>' + _INT + rb')'
+    rb',"seq":(?P<seq>' + _INT + rb')'
+    rb',"wire_bits":(?P<wire_bits>' + _INT + rb')\}\n',
+    re.MULTILINE,
+)
+
+
+def _bulk_chunk(chunk: list[bytes], ids: Optional[tuple[str, str]]) -> Optional[tuple]:
+    """SampleBatch arguments for a chunk of lines that all match
+    _SAMPLE_LINE and share one (path_id, method), which must equal `ids`
+    unless that is None; parsed with one regex pass and two np.fromstring
+    calls. None for any other chunk."""
+    if not (_SAMPLE_LINE.match(chunk[0]) and _SAMPLE_LINE.match(chunk[-1])):
+        return None  # spares the scan on files of other lines, e.g. extra fields
+    matches = _SAMPLE_LINE.findall(b"".join(chunk))
+    if len(matches) != len(chunk):
+        return None
+    _, methods, path_ids, payload, rtts, sent, seqs, wire = zip(*matches)
+    if methods.count(methods[0]) != len(methods) or path_ids.count(path_ids[0]) != len(path_ids):
+        return None
+    chunk_ids = (path_ids[0].decode("ascii"), methods[0].decode("ascii"))
+    if ids is not None and chunk_ids != ids:
+        return None
+    ints = np.fromstring(b" ".join(seqs + payload + wire + sent), dtype=np.int64, sep=" ")
+    rtt_s = np.fromstring(b" ".join(rtts).replace(b"null", b"nan"), dtype=np.float64, sep=" ")
+    return (*chunk_ids, *ints.reshape(4, len(matches)), rtt_s)
+
+
+def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], list[tuple], np.ndarray]:
     """The sample objects of consecutive lines, their known fields as tuples
     in _SAMPLE_FIELDS order, and their line numbers. One json.loads call
     parses the whole chunk; on any failure the chunk is parsed again line by
     line, which skips blank lines and names the first bad line."""
     try:
-        objs = json.loads("[" + ",".join(lines) + "]")
+        # each line keeps its end, which no JSON string may hold, so no
+        # value can run on from one line into the next
+        objs = json.loads((b"[" + b",".join(lines) + b"]").decode("utf-8"))
         if len(objs) == len(lines):
             return objs, list(map(_sample_fields_of, objs)), np.arange(
                 first_line_no, first_line_no + len(lines))
     except (ValueError, KeyError, TypeError):
         pass
     objs, rows, line_nos = [], [], []
-    for line_no, text in enumerate(lines, start=first_line_no):
+    for line_no, raw in enumerate(lines, start=first_line_no):
+        text = _decode(line_no, raw)
         if not text.strip():
             continue
         obj = _parse_line(line_no, text)
@@ -227,16 +278,32 @@ def _parse_chunk(lines: list[str], first_line_no: int) -> tuple[list[dict], list
     return objs, rows, np.array(line_nos, dtype=np.int64)
 
 
-def _load_samples(fh) -> tuple[SampleBatch, dict[int, dict], np.ndarray]:
-    """The samples of the sample lines left in `fh` (line 2 onwards), read
-    and checked a chunk at a time; also the unknown fields of each sample
-    that has any, keyed by seq, and the line number of each sample."""
+def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict], np.ndarray]:
+    """The samples of the sample lines (bytes, line 2 onwards) in `lines`,
+    read and checked a chunk at a time; also the unknown fields of each
+    sample that has any, keyed by seq, and the line number of each sample.
+    A chunk of canonical lines of the file's path_id and method is parsed
+    in bulk; any other chunk goes through json.loads."""
     batches, line_nos = [], []
     sample_extras: dict[int, dict] = {}
     first_line_no = 2
-    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-        objs, rows, chunk_line_nos = _parse_chunk(lines, first_line_no)
-        first_line_no += len(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        columns = _bulk_chunk(chunk, (path_id, method) if batches else None)
+        if columns is not None:
+            path_id, method = columns[:2]
+            chunk_line_nos = np.arange(first_line_no, first_line_no + len(chunk))
+            first_line_no += len(chunk)
+            try:
+                batches.append(SampleBatch(*columns))
+            except InvalidSample as exc:
+                raise CorruptLine(int(chunk_line_nos[exc.index]), f"bad sample: {exc}") from exc
+            line_nos.append(chunk_line_nos)
+            continue
+        # split as a text-mode file would, so a line number is the same
+        # whatever the line endings
+        chunk = b"".join(chunk).splitlines(keepends=True)
+        objs, rows, chunk_line_nos = _parse_chunk(chunk, first_line_no)
+        first_line_no += len(chunk)
         if not rows:
             continue
         path_ids, seqs, payload, wire, sent, rtts, losts, methods = zip(*rows)
@@ -271,14 +338,16 @@ def load_session(path) -> SessionRecord:
     """Reload a session file written by save_session.
 
     Raises SchemaMismatch for unrecognized schema versions and CorruptLine
-    (with the 1-based line number) for unparseable lines, invalid samples,
-    and sample lines that disagree on path_id or method.
+    (with the 1-based line number) for lines that are not UTF-8 JSON,
+    invalid samples, and sample lines that disagree on path_id or method.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first_line = fh.readline()
-        if not first_line:
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head:
             raise CorruptLine(1, "file is empty")
-        meta = _parse_line(1, first_line)
+        # a line may end in a bare "\r", which binary reading does not split
+        first_line, *rest = head.splitlines(keepends=True)
+        meta = _parse_line(1, _decode(1, first_line))
         schema = meta.pop("schema", None)
         if schema != SCHEMA_VERSION:
             raise SchemaMismatch(f"unsupported schema version {schema!r}")
@@ -290,7 +359,7 @@ def load_session(path) -> SessionRecord:
             features = PathFeatures(**features_obj) if features_obj else None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptLine(1, f"bad metadata: {exc}") from exc
-        samples, sample_extras, line_nos = _load_samples(fh)
+        samples, sample_extras, line_nos = _load_samples(itertools.chain(rest, fh))
     try:
         return SessionRecord(
             session_id=session_id,
@@ -303,6 +372,21 @@ def load_session(path) -> SessionRecord:
         )
     except InvalidSample as exc:
         raise CorruptLine(int(line_nos[exc.index]), f"bad sample: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _open_csv(path):
+    """`path` opened as UTF-8 text for the csv module. A line that is not
+    UTF-8 raises CorruptLine naming it, counted as a text-mode file does."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = (line for chunk in raw for line in chunk.splitlines())
+                for line_no, line in enumerate(lines, start=1):
+                    _decode(line_no, line)
+            raise
 
 
 def export_csv(samples: Samples, path) -> None:
@@ -358,7 +442,7 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     if size_unit not in ("bytes", "bits"):
         raise ValueError(f'size_unit must be "bytes" or "bits", got {size_unit!r}')
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -416,8 +500,10 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
 
 
 def read_observations_csv(path) -> list[tuple[PathFeatures, float]]:
-    """Read intercept-model observations: columns path_id, n, l_km, a_s."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read intercept-model observations: columns path_id, n, l_km, a_s.
+
+    A row that does not parse raises CorruptLine with its line number."""
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyFile(f"{path}: no header row")
@@ -426,12 +512,15 @@ def read_observations_csv(path) -> list[tuple[PathFeatures, float]]:
                 raise MissingColumn(f"{path}: column {column!r} not in header")
         observations = []
         for row in reader:
-            features = PathFeatures(
-                path_id=row["path_id"],
-                hop_count_n=int(row["n"]),
-                route_length_l_km=float(row["l_km"]),
-            )
-            observations.append((features, float(row["a_s"])))
+            try:
+                features = PathFeatures(
+                    path_id=row["path_id"],
+                    hop_count_n=int(row["n"]),
+                    route_length_l_km=float(row["l_km"]),
+                )
+                observations.append((features, float(row["a_s"])))
+            except (TypeError, ValueError) as exc:  # TypeError: a short row
+                raise CorruptLine(reader.line_num, f"bad observation: {exc}") from exc
     if not observations:
         raise EmptyFile(f"{path}: no data rows")
     return observations

@@ -461,3 +461,37 @@ def test_session_with_invalid_features_exits_65(sim_session, capsys):
     sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
     assert main(["stats", str(sim_session)]) == 65
     assert "CorruptLine: line 1" in capsys.readouterr().err
+
+
+def test_invalid_utf8_exits_65_naming_the_line(sim_session, tmp_path, capsys):
+    lines = sim_session.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b'"path_id":"', b'"path_id":"\xff')
+    sim_session.write_bytes(b"\n".join(lines))
+    delays = tmp_path / "delays.csv"
+    delays.write_bytes(b"size_bytes,delay_s\n100,0.018\n1124,0.04\xff2\n")
+    observations = tmp_path / "obs.csv"
+    observations.write_bytes(b"path_id,n,l_km,a_s\np1,5,1000,0.0055\np2,10,2000,0.011\np\xff,3,9,0.003\n")
+    for argv, line_no in ((["stats", str(sim_session)], 4), (["estimate", str(sim_session)], 4),
+                          (["estimate", str(delays)], 3), (["calibrate", str(observations)], 4)):
+        assert main(argv + ["--output", str(tmp_path / "model.json")]) == 65
+        assert f"CorruptLine: line {line_no}: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_calibrate_bad_observation_row_exits_65(tmp_path, capsys):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("path_id,n,l_km,a_s\np0,5,1000,0.0055\np1,x,100,0.001\n")
+    assert main(["calibrate", str(csv_path), "--output", str(tmp_path / "model.json")]) == 65
+    assert "CorruptLine: line 3: bad observation" in capsys.readouterr().err
+
+
+def test_out_of_range_flags_are_usage_errors(sim_session, capsys):
+    assert main(["estimate", "--min-samples", "0", str(sim_session)]) == 64
+    assert main(["stats", "--series", "--window", "1", str(sim_session)]) == 64
+    assert capsys.readouterr().err.count("usage error") == 2
+
+
+def test_estimate_halving_a_subnormal_delay_exits_65(tmp_path, capsys):
+    csv_path = tmp_path / "subnormal.csv"
+    csv_path.write_text("size_bytes,delay_s\n100,5e-324\n1124,0.042\n")
+    assert main(["estimate", "--one-way-halve", str(csv_path)]) == 65
+    assert "rtt_s must be positive and finite" in capsys.readouterr().err

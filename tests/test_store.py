@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from deltaprobe.errors import CorruptLine, EmptyFile, MissingColumn, SchemaMisma
 from deltaprobe.estimator import estimate_pairwise, min_delay_profile
 from deltaprobe.intercept import PathFeatures
 from deltaprobe.probe import ProbePlan, ProbeSample
+from deltaprobe import store
+from deltaprobe.probe import SampleBatch
 from deltaprobe.simulator import Hop, SimPath
 from deltaprobe.store import (
     CANONICAL_CSV_MAPPING,
@@ -332,3 +335,202 @@ def test_load_rejects_samples_out_of_seq_order(tmp_path):
     with pytest.raises(CorruptLine) as excinfo:
         load_session(path)
     assert excinfo.value.line_number == 7
+
+
+# ---------------------------------------------------------------------------
+# bulk parsing of canonical sample lines against the json.loads path
+# ---------------------------------------------------------------------------
+
+def _outcome(path):
+    """What load_session makes of a file: the record, or the CorruptLine's
+    line number."""
+    try:
+        return load_session(path)
+    except CorruptLine as exc:
+        return exc.line_number
+
+
+def _load_both_ways(path, monkeypatch):
+    """The outcome of loading `path` as it is, which must equal that with
+    every chunk forced through json.loads, and how many chunks were parsed
+    in bulk."""
+    real, bulk = store._bulk_chunk, []
+
+    def counting(chunk, ids):
+        columns = real(chunk, ids)
+        bulk.append(columns is not None)
+        return columns
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_bulk_chunk", counting)
+        fast = _outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_bulk_chunk", lambda chunk, ids: None)
+        slow = _outcome(path)
+    if isinstance(fast, SessionRecord):
+        # == compares RTTs as numbers; the bits must match too
+        assert fast.samples.rtt_s.tobytes() == slow.samples.rtt_s.tobytes()
+    assert fast == slow
+    return fast, sum(bulk)
+
+
+def _seeded_session(tmp_path, seed=54, n=3 * 2048 + 777):
+    """A session of four chunks, with losses and RTTs over the whole float
+    range, written by save_session; also its lines."""
+    rng = np.random.default_rng(seed)
+    rtt = 10.0 ** rng.uniform(-307, 307, n)
+    typical = rng.random(n) < 0.3
+    rtt[typical] = rng.uniform(1e-4, 0.5, int(typical.sum()))
+    rtt[:4] = (5e-324, 1.7976931348623157e+308, 2.2250738585072014e-308, 0.1)
+    rtt[rng.random(n) < 0.1] = np.nan
+    payload = rng.integers(1, 9000, n)
+    samples = SampleBatch(
+        path_id="host-1.example", method="udp_echo",
+        seq=np.arange(n) * 7, payload_bytes=payload, wire_bits=payload * 8 + 224,
+        sent_at_us=np.sort(rng.integers(0, 10 ** 18, n)), rtt_s=rtt,
+    )
+    path = tmp_path / "seeded.jsonl"
+    save_session(SessionRecord(session_id="seeded", created_at="t", plan=None, samples=samples), path)
+    return path, path.read_bytes().split(b"\n")[:-1]
+
+
+def _write(path, lines, end=b"\n"):
+    path.write_bytes(b"\n".join(lines) + end)
+
+
+def test_bulk_parse_matches_json_path_on_seeded_sessions(tmp_path, monkeypatch):
+    for seed in (54, 55):
+        path, _ = _seeded_session(tmp_path, seed)
+        record, bulk_chunks = _load_both_ways(path, monkeypatch)
+        assert isinstance(record, SessionRecord) and bulk_chunks == 4
+
+
+def _rtt_texts(rng, n):
+    """Decimal spellings of RTTs that repr never writes: long digit strings,
+    exact binary expansions, exact ties between neighbouring floats."""
+    texts = []
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        for x in rng.uniform(1e-6, 2.0, n).tolist():
+            exact = Decimal(x)
+            tie = (exact + Decimal(np.nextafter(x, np.inf))) / 2
+            texts += [f"{x:.40f}", f"{x:.25e}", f"{x:.3E}", str(exact), str(tie), f"{x * 1e6:.0f}e-6"]
+    return texts + ["4.9406564584124654e-324", "2.4703282292062328e-324", "1" + "0" * 330 + "e-330",
+                    "0." + "9" * 400, "179769313486231570" + "0" * 291, "1e308", "12"]
+
+
+def test_bulk_parse_matches_json_path_on_hand_written_decimals(tmp_path, monkeypatch):
+    path, lines = _seeded_session(tmp_path)
+    texts = iter(_rtt_texts(np.random.default_rng(56), 500))
+    for i, line in enumerate(lines[1:], start=1):
+        if b'"lost":false' in line:
+            text = next(texts, None)
+            if text is None:
+                break
+            lines[i] = _replace_field(line, "rtt_s", text.encode())
+    assert next(texts, None) is None
+    _write(path, lines)
+    record, bulk_chunks = _load_both_ways(path, monkeypatch)
+    assert isinstance(record, SessionRecord) and bulk_chunks == 4
+
+
+def _replace_field(line, name, text):
+    head, _, tail = line.partition(b'"%s":' % name.encode())
+    end = min(i for i in (tail.find(b","), tail.find(b"}")) if i >= 0)
+    return head + b'"%s":' % name.encode() + text + tail[end:]
+
+
+def test_bulk_parse_falls_back_with_the_same_outcome(tmp_path, monkeypatch):
+    path, lines = _seeded_session(tmp_path)
+    # chunks start at lines 2, 2050, 4098 and 6146; lines[i] is line i + 1
+    def first(lost, after):
+        return next(i for i in range(after, len(lines)) if (b'"lost":true' in lines[i]) == lost)
+
+    lost, kept, kept_late = first(True, 5000), first(False, 2600), first(False, 6500)
+    with_extra = json.loads(lines[3000]) | {"probe_color": "blue"}
+    cases = {
+        # name: (CorruptLine line number or None, chunks parsed in bulk, {index: line})
+        "seq of 19 digits beyond int64": (
+            4100, 2, {4099: _replace_field(lines[4099], "seq", b"9" * 19)}),
+        "seq of 19 digits within int64": (
+            None, 3, {len(lines) - 1: _replace_field(lines[-1], "seq", b"1" + b"0" * 18)}),
+        "lost with an rtt_s": (lost + 1, 2, {lost: _replace_field(lines[lost], "rtt_s", b"0.01")}),
+        "rtt_s null but not lost": (kept + 1, 1, {kept: _replace_field(lines[kept], "rtt_s", b"null")}),
+        "rtt_s overflowing to inf": (
+            kept_late + 1, 4, {kept_late: _replace_field(lines[kept_late], "rtt_s", b"1e400")}),
+        "second path_id in a later chunk": (4098, 2, {
+            i: lines[i].replace(b'"path_id":"host-1.example"', b'"path_id":"other"')
+            for i in range(4097, 6145)}),
+        "unknown fields mid-file": (None, 3, {
+            3000: json.dumps(with_extra, sort_keys=True, separators=(",", ":")).encode()}),
+        "bad line past the first chunk": (5001, 2, {5000: lines[5000][:-7]}),
+        "invalid UTF-8 past the first chunk": (
+            3333, 1, {3332: lines[3332].replace(b"host-1", b"host-\xff")}),
+        "UTF-8 encoded surrogate in an unknown field": (
+            4444, 2, {4443: lines[4443][:-1] + b',"note":"\xed\xa0\x80"}'}),
+    }
+    for name, (line_no, want_bulk, changes) in cases.items():
+        changed = list(lines)
+        for i, text in changes.items():
+            changed[i] = text
+        _write(path, changed)
+        outcome, bulk_chunks = _load_both_ways(path, monkeypatch)
+        assert bulk_chunks == want_bulk, name
+        if line_no is None:
+            assert isinstance(outcome, SessionRecord), name
+        else:
+            assert outcome == line_no, name
+        if name == "unknown fields mid-file":
+            assert outcome.sample_extras == {with_extra["seq"]: {"probe_color": "blue"}}
+
+    _write(path, lines, end=b"")  # no final newline: the last chunk falls back
+    outcome, bulk_chunks = _load_both_ways(path, monkeypatch)
+    assert isinstance(outcome, SessionRecord) and bulk_chunks == 3
+
+
+def test_load_numbers_lines_as_a_text_file_does(tmp_path, monkeypatch):
+    path, lines = _long_session(tmp_path, n=3000)
+    record = load_session(path)
+    bad = list(lines)
+    bad[2500] = '{"seq": 2499,'
+    for ending in ("\r\n", "\r", "mixed"):
+        for text, want in ((lines, record), (bad, 2501)):
+            if ending == "mixed":  # one bare "\r" mid-file ends a line too
+                data = "\n".join(text[:1000]) + "\r" + "\n".join(text[1000:]) + "\n"
+            else:
+                data = ending.join(text) + ending
+            path.write_bytes(data.encode())
+            assert _load_both_ways(path, monkeypatch)[0] == want
+
+
+def test_invalid_utf8_names_the_line(tmp_path):
+    path, lines = _long_session(tmp_path, n=10)
+    for line_no, old, new in ((1, '"session_id":"long"', '"session_id":"lo\udcffng"'),
+                              (4, '"path_id":"test"', '"path_id":"te\udcffst"')):
+        bad = list(lines)
+        bad[line_no - 1] = bad[line_no - 1].replace(old, new)
+        path.write_bytes("\n".join(bad).encode("utf-8", "surrogateescape"))
+        with pytest.raises(CorruptLine, match="invalid UTF-8") as excinfo:
+            load_session(path)
+        assert excinfo.value.line_number == line_no
+
+    csv_path = tmp_path / "delays.csv"
+    csv_path.write_bytes(b"size_bytes,delay_s\n100,0.018\r\n100,\xff0.02\n1124,0.042\n")
+    with pytest.raises(CorruptLine, match="invalid UTF-8") as excinfo:
+        import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+    assert excinfo.value.line_number == 3
+
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_bytes(b"path_id,n,l_km,a_s\np1,5,1000,0.0055\np\xff2,10,2000,0.011\n")
+    with pytest.raises(CorruptLine, match="invalid UTF-8") as excinfo:
+        read_observations_csv(csv_path)
+    assert excinfo.value.line_number == 3
+
+
+def test_read_observations_names_a_bad_row(tmp_path):
+    csv_path = tmp_path / "obs.csv"
+    for row in ("p1,x,100,0.001", "p1,5,100", "p1,0,100,0.001", "p1,5,-1,0.001", "p1,5,100,fast"):
+        csv_path.write_text(f"path_id,n,l_km,a_s\np0,5,1000,0.0055\n{row}\np2,10,2000,0.011\n")
+        with pytest.raises(CorruptLine) as excinfo:
+            read_observations_csv(csv_path)
+        assert excinfo.value.line_number == 3
