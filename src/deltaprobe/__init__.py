@@ -19,6 +19,7 @@ from .errors import (
     InsufficientPoints,
     InsufficientSamples,
     MissingColumn,
+    NonFiniteModel,
     NonPositiveDelayDifference,
     NonPositiveSlope,
     NoReply,
@@ -45,6 +46,7 @@ from .estimator import (
 )
 from .intercept import (
     InterceptModel,
+    Observations,
     PathFeatures,
     estimate_with_model,
     fit_intercept_model,

@@ -25,6 +25,7 @@ from .errors import (
     InsufficientPoints,
     InsufficientSamples,
     MissingColumn,
+    NonFiniteModel,
     NonPositiveDelayDifference,
     NonPositiveSlope,
     NoReply,
@@ -46,7 +47,7 @@ EXIT_DATA = 65
 _ESTIMATION_ERRORS = (
     NoUsableSizes, EqualSizes, NonPositiveDelayDifference, DelayNotAboveIntercept,
     InsufficientPoints, NonPositiveSlope, RankDeficient, InsufficientObservations,
-    NoSamples, InsufficientSamples,
+    NonFiniteModel, NoSamples, InsufficientSamples,
 )
 _DATA_ERRORS = (SchemaMismatch, CorruptLine, MissingColumn, EmptyFile, ConfigError,
                 probe.InvalidSample)
@@ -258,6 +259,8 @@ def cmd_estimate(args, cfg: CliConfig) -> int:
     if threshold < 1:
         raise UsageError(f"--min-samples must be >= 1, got {threshold}")
     samples = _load_samples(args, cfg)
+    if not len(samples):
+        raise NoSamples(f"{args.input}: no samples")
     if args.one_way_halve:
         # Delays are round-trip by default; halving assumes a symmetric path.
         print("warning: --one-way-halve assumes a symmetric path; "
@@ -337,10 +340,10 @@ def cmd_calibrate(args, cfg: CliConfig) -> int:
     }
     out_path = args.output or "intercept-model.json"
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(model_json, fh, indent=2, sort_keys=True)
+        json.dump(model_json, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if cfg.format == "json":
-        print(json.dumps({**model_json, "model_file": str(out_path)}))
+        print(json.dumps({**model_json, "model_file": str(out_path)}, allow_nan=False))
     else:
         print(f"alpha = {model.alpha_s_per_hop * 1e3:.6f} ms/hop")
         print(f"beta  = {model.beta_s_per_km * 1e3:.6f} ms/km")

@@ -41,6 +41,10 @@ class InsufficientObservations(DeltaProbeError):
     """Fewer than two (features, intercept) observations."""
 
 
+class NonFiniteModel(DeltaProbeError):
+    """A fitted coefficient or the residual overflows float64."""
+
+
 # --- probing ------------------------------------------------------------
 
 class ResolveFailure(DeltaProbeError):

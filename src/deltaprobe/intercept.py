@@ -9,13 +9,15 @@ that predict the intercept of unmeasured paths.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import estimator
-from .errors import InsufficientObservations, RankDeficient
+from .errors import InsufficientObservations, NonFiniteModel, RankDeficient
 from .estimator import BandwidthEstimate, SizeDelayPoint
 
 
@@ -32,6 +34,76 @@ class PathFeatures:
             raise ValueError(f"hop_count_n must be >= 1, got {self.hop_count_n}")
         if self.route_length_l_km < 0:
             raise ValueError(f"route_length_l_km must be >= 0, got {self.route_length_l_km}")
+
+
+class InvalidObservation(ValueError):
+    """An observation column breaks a rule; `index` is the first offending row."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class Observations(Sequence):
+    """(path features, measured intercept) observations as columns.
+
+    `path_id` is a tuple of str, `hop_count_n` an int64 array and
+    `route_length_l_km` and `a_s` float64 arrays. The constructor checks
+    every PathFeatures rule at once, plus finite route lengths and
+    intercepts; a failed check raises InvalidObservation naming the first
+    bad row. The batch also reads as a sequence of (PathFeatures, a_s) rows:
+    `len`, indexing and iteration give rows, and a slice gives a batch.
+    """
+
+    __slots__ = ("path_id", "hop_count_n", "route_length_l_km", "a_s")
+
+    def __init__(self, path_id, hop_count_n, route_length_l_km, a_s):
+        self.path_id = tuple(path_id)
+        self.hop_count_n = np.asarray(hop_count_n, dtype=np.int64)
+        self.route_length_l_km = np.asarray(route_length_l_km, dtype=np.float64)
+        self.a_s = np.asarray(a_s, dtype=np.float64)
+        columns = (self.hop_count_n, self.route_length_l_km, self.a_s)
+        if any(c.shape != (len(self.path_id),) for c in columns):
+            raise ValueError("observation columns differ in length or are not 1-D")
+        n, l_km, a_s = columns
+        # min and max propagate NaN, so these reductions pass exactly the
+        # valid columns; only a failure reads the rules row by row
+        if (n.min(initial=1) >= 1 and 0 <= l_km.min(initial=0) and l_km.max(initial=0) < np.inf
+                and -np.inf < a_s.min(initial=0) and a_s.max(initial=0) < np.inf):
+            return
+        rules = (
+            (n >= 1, "hop_count_n must be >= 1", n),
+            ((l_km >= 0) & (l_km < np.inf), "route_length_l_km must be >= 0 and finite", l_km),
+            (np.isfinite(a_s), "a_s must be finite", a_s),
+        )
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in rules]))
+        if bad.size:
+            index = int(bad[0])
+            message, values = next((m, v) for ok, m, v in rules if not ok[index])
+            raise InvalidObservation(index, f"{message}, got {values[index]}")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[PathFeatures, float]]) -> "Observations":
+        """The batch itself, or a batch of (PathFeatures, a_s) rows."""
+        if isinstance(rows, cls):
+            return rows
+        return cls([f.path_id for f, _ in rows], [f.hop_count_n for f, _ in rows],
+                   [f.route_length_l_km for f, _ in rows], [a for _, a in rows])
+
+    def __len__(self) -> int:
+        return len(self.path_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Observations(*(getattr(self, name)[index] for name in self.__slots__))
+        i = range(len(self))[index]
+        features = PathFeatures(self.path_id[i], int(self.hop_count_n[i]),
+                                float(self.route_length_l_km[i]))
+        return features, float(self.a_s[i])
+
+    def __iter__(self):
+        rows = zip(self.path_id, self.hop_count_n.tolist(), self.route_length_l_km.tolist())
+        return zip(itertools.starmap(PathFeatures, rows), self.a_s.tolist())
 
 
 @dataclass(frozen=True)
@@ -52,7 +124,7 @@ class InterceptModel:
 
 
 def fit_intercept_model(
-    observations: Sequence[tuple[PathFeatures, float]],
+    observations: Observations | Sequence[tuple[PathFeatures, float]],
     *,
     include_constant: bool = False,
 ) -> InterceptModel:
@@ -60,18 +132,17 @@ def fit_intercept_model(
 
     The model has no constant term by default; `include_constant` adds one
     for experimentation. Raises RankDeficient when the (n, l) rows are
-    collinear and InsufficientObservations below two observations.
+    collinear, InsufficientObservations below two observations and
+    NonFiniteModel when the fit overflows float64.
     """
-    if len(observations) < 2:
-        raise InsufficientObservations(
-            f"need >= 2 observations, got {len(observations)}"
-        )
-    design = np.array(
-        [[f.hop_count_n, f.route_length_l_km] for f, _ in observations], dtype=float
-    )
-    targets = np.array([a for _, a in observations], dtype=float)
+    obs = Observations.from_rows(observations)
+    if len(obs) < 2:
+        raise InsufficientObservations(f"need >= 2 observations, got {len(obs)}")
+    columns = [obs.hop_count_n, obs.route_length_l_km]
     if include_constant:
-        design = np.column_stack([design, np.ones(len(observations))])
+        columns.append(np.ones(len(obs)))
+    design = np.column_stack(columns)
+    targets = obs.a_s
 
     coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < design.shape[1]:
@@ -80,13 +151,18 @@ def fit_intercept_model(
             "alpha from beta"
         )
     residuals = targets - design @ coef
-    rms = float(np.sqrt(np.mean(residuals**2)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(residuals**2)))
+    coef = coef.tolist()
+    if not all(map(math.isfinite, [*coef, rms])):
+        raise NonFiniteModel(f"the fitted model overflows float64: coefficients {coef}, "
+                             f"residual rms {rms}")
     return InterceptModel(
-        alpha_s_per_hop=float(coef[0]),
-        beta_s_per_km=float(coef[1]),
+        alpha_s_per_hop=coef[0],
+        beta_s_per_km=coef[1],
         residual_rms_s=rms,
-        n_observations=len(observations),
-        const_s=float(coef[2]) if include_constant else 0.0,
+        n_observations=len(obs),
+        const_s=coef[2] if include_constant else 0.0,
     )
 
 

@@ -436,7 +436,10 @@ def _run_echo_loop(
 
     The send stamp is taken after the packet is built and just before it is
     transmitted, so building a larger packet adds nothing to its RTT; the
-    receive stamp is the transport's, taken per reply. `clock` must be the
+    receive stamp is the transport's, taken per reply. Replies are drained
+    right after every send, so one that is readable at once is stamped
+    without a loop pass and a `select` in between, and sends that catch up
+    with the schedule never starve the receive side. `clock` must be the
     transport's clock (monotonic nanoseconds).
     """
     sizes = plan.sizes_payload_bytes
@@ -444,18 +447,32 @@ def _run_echo_loop(
     gap_ns = int(plan.inter_probe_gap_s * 1e9)
     timeout_ns = int(plan.timeout_s * 1e9)
 
-    pending: dict[int, tuple[int, int, int]] = {}  # key -> (seq, sent_ns, sent_at_us)
+    # key -> (seq, sent_ns, sent_at_us), in send order
+    pending: dict[int, tuple[int, int, int]] = {}
     done: dict[int, tuple[int, Optional[float]]] = {}
     last_ts_us = 0
     seq = 0
     next_send_ns = clock()
 
+    def drain() -> None:
+        for key, recv_ns in transport.drain():
+            entry = pending.pop(key, None)
+            if entry is None:
+                continue  # duplicate, late, or foreign reply
+            pseq, sent_ns, ts_us = entry
+            rtt_s = max((recv_ns - sent_ns) / 1e9, 1e-9)  # clock granularity floor
+            done[pseq] = (ts_us, rtt_s)
+
     while seq < total or pending:
         now_ns = clock()
 
-        expired = [k for k, (_, sent_ns, _) in pending.items() if now_ns - sent_ns >= timeout_ns]
-        for key in expired:
-            pseq, _, ts_us = pending.pop(key)
+        # every probe has the same timeout, so they expire in send order
+        while pending:
+            oldest = next(iter(pending))
+            pseq, sent_ns, ts_us = pending[oldest]
+            if now_ns - sent_ns < timeout_ns:
+                break
+            del pending[oldest]
             done[pseq] = (ts_us, None)
 
         if seq < total and now_ns >= next_send_ns:
@@ -466,27 +483,24 @@ def _run_echo_loop(
             sent_ns = clock()
             try:
                 transport.transmit(packet)
-                pending[key] = (seq, sent_ns, ts_us)
             except OSError:
                 done[seq] = (ts_us, None)  # unreachable network counts as loss
-            next_send_ns += gap_ns
+            else:
+                pending[key] = (seq, sent_ns, ts_us)
+                drain()
+            # The schedule is kept, so the sends due during a short stall go
+            # at once, each followed by a drain. It never falls more than
+            # one timeout behind, so a long stall cannot stack up a burst.
+            next_send_ns = max(next_send_ns + gap_ns, now_ns - timeout_ns)
             seq += 1
-            continue
 
-        deadlines = [sent_ns + timeout_ns for (_, sent_ns, _) in pending.values()]
+        deadlines = [next(iter(pending.values()))[1] + timeout_ns] if pending else []
         if seq < total:
             deadlines.append(next_send_ns)
         if not deadlines:
             continue  # everything sent and settled; loop condition ends us
-        if not transport.wait(max(0.0, (min(deadlines) - clock()) / 1e9)):
-            continue
-        for key, recv_ns in transport.drain():
-            entry = pending.pop(key, None)
-            if entry is None:
-                continue  # duplicate, late, or foreign reply
-            pseq, sent_ns, ts_us = entry
-            rtt_s = max((recv_ns - sent_ns) / 1e9, 1e-9)  # clock granularity floor
-            done[pseq] = (ts_us, rtt_s)
+        if transport.wait(max(0.0, (min(deadlines) - clock()) / 1e9)):
+            drain()
 
     return [done[i] for i in range(total)]
 

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
-from .intercept import PathFeatures
+from .intercept import InvalidObservation, Observations, PathFeatures
 from .probe import METHOD_IMPORTED, InvalidSample, ProbePlan, SampleBatch, Samples
 from .simulator import Hop, SimPath
 
@@ -499,28 +499,61 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     )
 
 
-def read_observations_csv(path) -> list[tuple[PathFeatures, float]]:
+def _number_column(cells: tuple, dtype, name: str):
+    """(`cells` as a `dtype` array, None), parsed by one numpy call, which
+    accepts exactly what int() and float() accept. Where a cell does not
+    parse or an integer exceeds int64: (the cells before it, an
+    InvalidObservation naming its row)."""
+    try:
+        return np.array(cells, dtype=dtype), None
+    except (ValueError, OverflowError):
+        parsed = []
+        for index, cell in enumerate(cells):
+            try:
+                parsed.append(np.array(cell, dtype=dtype))
+            except (ValueError, OverflowError) as exc:
+                return np.array(parsed, dtype=dtype), InvalidObservation(index, f"{name}: {exc}")
+        raise
+
+
+def read_observations_csv(path) -> Observations:
     """Read intercept-model observations: columns path_id, n, l_km, a_s.
 
-    A row that does not parse raises CorruptLine with its line number."""
+    Rows are read as csv.DictReader reads them: blank lines are skipped, a
+    short row reads "" in the cells it lacks, and of two columns of one name
+    the last wins. A row that does not parse, breaks a PathFeatures rule or
+    holds a non-finite l_km or a_s raises CorruptLine with its line number.
+    """
+    names = ("path_id", "n", "l_km", "a_s")
     with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path}: no header row")
-        for column in ("path_id", "n", "l_km", "a_s"):
-            if column not in reader.fieldnames:
-                raise MissingColumn(f"{path}: column {column!r} not in header")
-        observations = []
+        for name in names:
+            if name not in header:
+                raise MissingColumn(f"{path}: column {name!r} not in header")
+        rows, line_nums = [], []
         for row in reader:
-            try:
-                features = PathFeatures(
-                    path_id=row["path_id"],
-                    hop_count_n=int(row["n"]),
-                    route_length_l_km=float(row["l_km"]),
-                )
-                observations.append((features, float(row["a_s"])))
-            except (TypeError, ValueError) as exc:  # TypeError: a short row
-                raise CorruptLine(reader.line_num, f"bad observation: {exc}") from exc
-    if not observations:
+            if row:
+                rows.append(row)
+                line_nums.append(reader.line_num)
+    if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    return observations
+
+    table = list(itertools.zip_longest(*rows, fillvalue=""))
+    table += [("",) * len(rows)] * (len(header) - len(table))
+    column = dict(zip(header, table))
+    parsed = [_number_column(column[name], dtype, name)
+              for name, dtype in (("n", np.int64), ("l_km", np.float64), ("a_s", np.float64))]
+    errors = [e for _, e in parsed if e is not None]
+    try:
+        if errors:
+            # the rows before the first cell that does not parse may still
+            # break a rule, and the first bad row is the one named
+            first = min(errors, key=lambda e: e.index)
+            Observations(column["path_id"][:first.index], *(c[:first.index] for c, _ in parsed))
+            raise first
+        return Observations(column["path_id"], *(c for c, _ in parsed))
+    except InvalidObservation as exc:
+        raise CorruptLine(line_nums[exc.index], f"bad observation: {exc}") from exc

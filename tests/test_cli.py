@@ -276,6 +276,14 @@ def test_stats_empty_session_exits_3(tmp_path, capsys):
     assert main(["stats", str(path)]) == 3
 
 
+def test_estimate_empty_session_exits_3(tmp_path, capsys):
+    record = SessionRecord(session_id="empty", created_at="t", plan=None, samples=[])
+    path = tmp_path / "empty.jsonl"
+    save_session(record, path)
+    assert main(["estimate", str(path)]) == 3
+    assert "NoSamples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # probe (live loopback)
 # ---------------------------------------------------------------------------
@@ -482,6 +490,26 @@ def test_calibrate_bad_observation_row_exits_65(tmp_path, capsys):
     csv_path.write_text("path_id,n,l_km,a_s\np0,5,1000,0.0055\np1,x,100,0.001\n")
     assert main(["calibrate", str(csv_path), "--output", str(tmp_path / "model.json")]) == 65
     assert "CorruptLine: line 3: bad observation" in capsys.readouterr().err
+
+
+def test_calibrate_nonfinite_observation_exits_65(tmp_path, capfd):
+    csv_path = tmp_path / "obs.csv"
+    model_file = tmp_path / "model.json"
+    for row in ("p1,10,2000,nan", "p1,10,inf,0.011", "p1,10,2000,-inf"):
+        csv_path.write_text(f"path_id,n,l_km,a_s\np0,5,1000,0.0055\n{row}\np2,3,9,0.003\n")
+        assert main(["calibrate", str(csv_path), "--json", "--output", str(model_file)]) == 65
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("deltaprobe: CorruptLine: line 3: bad observation")
+        assert "Traceback" not in err and "DLASCL" not in err
+    assert not model_file.exists()
+
+
+def test_calibrate_overflowing_fit_exits_3(tmp_path, capsys):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("path_id,n,l_km,a_s\np0,5,1,1e200\np1,10,2,-1e200\np2,3,7,1e200\n")
+    assert main(["calibrate", str(csv_path), "--json", "--output", str(tmp_path / "m.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "NonFiniteModel" in err
 
 
 def test_out_of_range_flags_are_usage_errors(sim_session, capsys):

@@ -6,11 +6,14 @@ import pytest
 from deltaprobe.errors import (
     DelayNotAboveIntercept,
     InsufficientObservations,
+    NonFiniteModel,
     RankDeficient,
 )
 from deltaprobe.estimator import SizeDelayPoint
 from deltaprobe.intercept import (
     InterceptModel,
+    InvalidObservation,
+    Observations,
     PathFeatures,
     estimate_with_model,
     fit_intercept_model,
@@ -203,3 +206,49 @@ def test_features_validation():
         PathFeatures(path_id="p", hop_count_n=0, route_length_l_km=0.0)
     with pytest.raises(ValueError):
         PathFeatures(path_id="p", hop_count_n=1, route_length_l_km=-1.0)
+
+
+def test_observations_name_the_first_bad_row():
+    good = [("p0", 5, 100.0, 0.001)] * 3
+    for bad, index, message in (
+        ([("p", 0, 1.0, 0.1)], 3, "hop_count_n must be >= 1"),
+        ([("p", 1, -1.0, 0.1)], 3, "route_length_l_km must be >= 0"),
+        ([("p", 1, math.inf, 0.1)], 3, "route_length_l_km must be >= 0 and finite"),
+        ([("p", 1, 1.0, math.nan), ("p", 0, -1.0, 0.1)], 3, "a_s must be finite"),
+        ([("p", 1, 1.0, 0.1), ("p", 0, math.nan, -math.inf)], 4, "hop_count_n must be >= 1"),
+    ):
+        with pytest.raises(InvalidObservation, match=message) as excinfo:
+            Observations(*zip(*(good + bad)))
+        assert excinfo.value.index == index
+
+
+def test_observations_accept_the_float64_range():
+    obs = Observations(("a", "b", "c"), [1, 2, 2**62], [0.0, 5e-324, 1.7976931348623157e308],
+                       [-1.7976931348623157e308, -0.0, 1.7976931348623157e308])
+    assert len(obs) == 3 and obs[2][0].hop_count_n == 2**62
+    assert len(Observations((), [], [], [])) == 0
+
+
+def test_observations_from_rows_round_trip():
+    rows = synth_observations(1e-4, 5e-6, [(2, 500.0), (4, 1000.5), (8, 0.0)])
+    obs = Observations.from_rows(rows)
+    assert Observations.from_rows(obs) is obs
+    assert list(obs) == rows and obs[1] == rows[1] and list(obs[1:]) == rows[1:]
+    assert obs.hop_count_n.dtype == np.int64 and obs.a_s.dtype == np.float64
+
+
+def test_fit_rejects_nonfinite_observations():
+    rows = synth_observations(1e-4, 5e-6, [(2, 500.0), (4, 1000.0), (8, 2000.0)])
+    rows[1] = (rows[1][0], math.nan)
+    with pytest.raises(InvalidObservation) as excinfo:
+        fit_intercept_model(rows)
+    assert excinfo.value.index == 1
+
+
+def test_fit_that_overflows_float64_raises():
+    # intercepts near 1e200 s: the residuals' squares overflow
+    rows = [(PathFeatures(f"p{i}", n, l), a)
+            for i, (n, l, a) in enumerate([(5, 1.0, 1e200), (10, 2.0, -1e200),
+                                           (3, 7.0, 1e200), (7, 3.0, 5.0)])]
+    with pytest.raises(NonFiniteModel):
+        fit_intercept_model(rows)

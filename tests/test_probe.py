@@ -318,15 +318,20 @@ class FakeEcho:
     """Transport stand-in on a fake clock. Building a packet takes
     `build_ns_per_byte` per payload byte, each receive call takes
     `recv_ns`, and a reply becomes readable `delay_ns` after its send but
-    not before `release_ns`."""
+    not before `release_ns`. With `stall=(n, ns)`, the n-th wait returns
+    `ns` late, as when the process is not scheduled. `ready_at_wait` says,
+    per wait, whether a reply was readable when it began."""
 
-    def __init__(self, clock, build_ns_per_byte=0, recv_ns=0, delay_ns=0, release_ns=0):
+    def __init__(self, clock, build_ns_per_byte=0, recv_ns=0, delay_ns=0, release_ns=0,
+                 stall=None):
         self.clock = clock
         self.build_ns_per_byte = build_ns_per_byte
         self.recv_ns = recv_ns
         self.delay_ns = delay_ns
         self.release_ns = release_ns
+        self.stall = stall
         self.replies = []  # (readable at, key), in send order
+        self.ready_at_wait = []
 
     def build(self, seq, ts_us, payload_bytes):
         self.clock.now_ns += self.build_ns_per_byte * payload_bytes
@@ -337,6 +342,9 @@ class FakeEcho:
         self.replies.append((ready, int.from_bytes(packet[:2], "big")))
 
     def wait(self, timeout_s):
+        self.ready_at_wait.append(bool(self.replies) and self.replies[0][0] <= self.clock.now_ns)
+        if self.stall is not None and self.stall[0] == len(self.ready_at_wait):
+            self.clock.now_ns += self.stall[1]
         deadline = self.clock.now_ns + int(timeout_s * 1e9)
         if self.replies and self.replies[0][0] <= deadline:
             self.clock.now_ns = max(self.clock.now_ns, self.replies[0][0])
@@ -373,6 +381,41 @@ def test_echo_loop_stamps_each_reply_at_its_own_receive():
     (_, rtt0), (_, rtt1) = _run_echo_loop(plan, echo, clock)
     assert rtt0 == pytest.approx(10.1e-3, abs=1e-12)  # sent at 0, read at 10.1 ms
     assert rtt1 == pytest.approx(9.2e-3, abs=1e-12)  # sent at 1 ms, read at 10.2 ms
+
+
+def test_echo_loop_reads_a_ready_reply_right_after_its_send():
+    # an echo that adds no delay: each reply is read right after its send,
+    # so no wait begins while a reply is readable
+    clock = FakeClock()
+    echo = FakeEcho(clock, recv_ns=2_000)
+    plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, 1124),
+                     count_per_size=5, inter_probe_gap_s=0.001, timeout_s=0.5)
+    results = _run_echo_loop(plan, echo, clock)
+    assert [rtt for _, rtt in results] == [pytest.approx(2e-6, abs=1e-15)] * 10
+    assert echo.ready_at_wait and not any(echo.ready_at_wait)
+
+
+@pytest.mark.parametrize("stall_ns", [20_000_000, 10**9])
+def test_echo_loop_catches_up_after_a_stall_without_losses(stall_ns):
+    # one wait returns late; every reply is readable at once, so none may
+    # time out while the loop catches up. A stall shorter than the 50 ms
+    # timeout is made up in full. After a longer one the schedule owes at
+    # most 50 ms; as building a packet takes 50-562 us, catching that up
+    # takes at most 50 / (1 - 0.562) < 120 sends, where all ~390 sends left
+    # would go at once if the debt were not capped.
+    clock = FakeClock()
+    echo = FakeEcho(clock, build_ns_per_byte=500, stall=(10, stall_ns))
+    plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, 1124),
+                     count_per_size=200, inter_probe_gap_s=0.001, timeout_s=0.05)
+    results = _run_echo_loop(plan, echo, clock)
+    assert all(rtt is not None for _, rtt in results)
+    sent_at_us = [ts for ts, _ in results]
+    gaps = [b - a for a, b in zip(sent_at_us, sent_at_us[1:])]
+    assert max(gaps) >= stall_ns // 1000
+    if stall_ns < 50_000_000:
+        assert sent_at_us[-1] - sent_at_us[0] < 400 * 1_000  # back on schedule
+    else:
+        assert sum(gap < 1_000 for gap in gaps) < 120
 
 
 def _reference_checksum(data: bytes) -> int:

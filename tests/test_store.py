@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -9,7 +10,7 @@ import pytest
 from conftest import make_sample
 from deltaprobe.errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
 from deltaprobe.estimator import estimate_pairwise, min_delay_profile
-from deltaprobe.intercept import PathFeatures
+from deltaprobe.intercept import Observations, PathFeatures, fit_intercept_model
 from deltaprobe.probe import ProbePlan, ProbeSample
 from deltaprobe import store
 from deltaprobe.probe import SampleBatch
@@ -534,3 +535,99 @@ def test_read_observations_names_a_bad_row(tmp_path):
         with pytest.raises(CorruptLine) as excinfo:
             read_observations_csv(csv_path)
         assert excinfo.value.line_number == 3
+
+
+def _reference_observations(path):
+    """The row-wise reader the columnar one replaced: csv.DictReader and one
+    PathFeatures per row (a short row reads None, so a missing number cell
+    raises TypeError)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = []
+        for row in reader:
+            try:
+                features = PathFeatures(row["path_id"], int(row["n"]), float(row["l_km"]))
+                rows.append((features, float(row["a_s"])))
+            except (TypeError, ValueError):
+                return reader.line_num
+    return rows
+
+
+def _reference_fit(rows, include_constant=False):
+    """The row-wise design matrix and fit the columnar one replaced."""
+    design = np.array([[f.hop_count_n, f.route_length_l_km] for f, _ in rows], dtype=float)
+    if include_constant:
+        design = np.column_stack([design, np.ones(len(rows))])
+    targets = np.array([a for _, a in rows], dtype=float)
+    coef = np.linalg.lstsq(design, targets, rcond=None)[0]
+    residuals = targets - design @ coef
+    return [float(c) for c in coef], float(np.sqrt(np.mean(residuals**2)))
+
+
+@pytest.mark.parametrize("count", [12, 5000])
+def test_columnar_observations_match_the_row_reader(tmp_path, count):
+    rng = np.random.default_rng(count)
+    csv_path = tmp_path / "obs.csv"
+    lines = ["path_id,n,l_km,a_s"]
+    for i in range(count):
+        n, l_km = int(rng.integers(1, 30)), float(rng.uniform(0, 12000))
+        lines.append(f"p{i},{n},{l_km!r},{1e-4 * n + 5e-6 * l_km + rng.normal(0, 1e-4)!r}")
+    csv_path.write_text("\n".join(lines) + "\n")
+    obs = read_observations_csv(csv_path)
+    assert isinstance(obs, Observations)
+    want = _reference_observations(csv_path)
+    assert list(obs) == want and len(obs) == count
+    assert obs[3] == want[3] and obs[-1] == want[-1] and list(obs[2:5]) == want[2:5]
+    for include_constant in (False, True):
+        model = fit_intercept_model(obs, include_constant=include_constant)
+        coef, rms = _reference_fit(want, include_constant)
+        got = [model.alpha_s_per_hop, model.beta_s_per_km] + [model.const_s] * include_constant
+        assert got == coef and model.residual_rms_s == rms
+        assert fit_intercept_model(want, include_constant=include_constant) == model
+
+
+@pytest.mark.parametrize("text", [
+    "path_id,n,l_km,a_s\n\np0,5,1000,0.0055\n\n\np1,2,30.5,0.001\n\n",  # blank lines
+    "path_id,n,l_km,a_s\r\np0,5,1000,0.0055\r\np1,2,30.5,0.001\r\n",  # CRLF
+    'path_id,n,l_km,a_s\n"p,0",5,1000,0.0055\n"p\n1",2,30.5,0.001\n',  # quoted comma, newline
+    "path_id,n,l_km,n,a_s\np0,x,1000,5,0.0055\np1,y,30.5,2,0.001\n",  # duplicated column
+    "a_s,l_km,n,path_id,extra\n0.0055,1000,5\n0.001,30.5,2,p1,z,z\n",  # short and long rows
+    "path_id,n,l_km,a_s\np0, 5 ,1_000,.0055\np1,+2,3e1,1e-3\n",  # what int() and float() take
+])
+def test_observations_csv_reads_as_dictreader_does(tmp_path, text):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_bytes(text.encode())
+    want = _reference_observations(csv_path)
+    # DictReader gives None where a short row ends, the columnar reader ""
+    want = [(PathFeatures(f.path_id or "", f.hop_count_n, f.route_length_l_km), a)
+            for f, a in want]
+    assert list(read_observations_csv(csv_path)) == want
+
+
+@pytest.mark.parametrize("row, line, message", [
+    ("p1,5.0,100,0.001", 3, "n: invalid literal for int"),
+    ("p1,5,100", 3, "a_s: could not convert string to float: ''"),  # short row
+    ("p1,5,100,nan", 3, "a_s must be finite"),
+    ("p1,5,inf,0.001", 3, "route_length_l_km must be >= 0 and finite"),
+    ("p1,5,nan,0.001", 3, "route_length_l_km must be >= 0 and finite"),
+    ("p1,5,100,-inf", 3, "a_s must be finite"),
+    ("p1,5,100,inf", 3, "a_s must be finite"),
+    ("p1,99999999999999999999,100,0.001", 3, "n: Python int too large"),
+    ("p1,5,100,0.001\np2,0,1,1\np3,x,1,1", 4, "hop_count_n must be >= 1"),  # rule before parse
+    ("p1,5,100,0.001\np2,1,1,zz\np3,0,1,1", 4, "could not convert"),  # parse before rule
+    ("p1,x,100,0.001\np2,1,1,zz", 3, "invalid literal for int"),  # first bad of two columns
+])
+def test_observations_csv_names_the_first_bad_row(tmp_path, row, line, message):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(f"path_id,n,l_km,a_s\np0,5,1000,0.0055\n{row}\np9,10,2000,0.011\n")
+    with pytest.raises(CorruptLine, match=message) as excinfo:
+        read_observations_csv(csv_path)
+    assert excinfo.value.line_number == line
+
+
+def test_observations_csv_with_every_row_short(tmp_path):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("path_id,n,l_km,a_s\np0,5,1000\np1,2\n")
+    with pytest.raises(CorruptLine, match="a_s: could not convert") as excinfo:
+        read_observations_csv(csv_path)
+    assert excinfo.value.line_number == 2
