@@ -7,34 +7,14 @@ the fixed delay off its intercept. Ships a deterministic path simulator as
 a ground-truth oracle plus session persistence and summary statistics.
 """
 
-from .errors import (
-    AllProbesLost,
-    ConfigError,
-    CorruptLine,
-    DelayNotAboveIntercept,
-    DeltaProbeError,
-    EmptyFile,
-    EqualSizes,
-    InsufficientObservations,
-    InsufficientPoints,
-    InsufficientSamples,
-    MissingColumn,
-    NonFiniteModel,
-    NonPositiveDelayDifference,
-    NonPositiveSlope,
-    NoReply,
-    NoSamples,
-    NoUsableSizes,
-    ProbePermissionError,
-    RankDeficient,
-    ResolveFailure,
-    SchemaMismatch,
-)
+# errors.py defines exception classes only, and each of them is public
+from .errors import *  # noqa: F403
 from .estimator import (
     BandwidthEstimate,
     DelayProfile,
     LinearFit,
     SizeDelayPoint,
+    estimate_bandwidth,
     estimate_direct,
     estimate_from_intercept,
     estimate_intercept,

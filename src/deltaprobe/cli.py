@@ -2,126 +2,105 @@
 
 Exit codes: 0 success, 1 internal/environment error, 2 target unreachable,
 3 estimation or statistics failure, 64 usage error, 65 malformed input data.
+Each error of the package carries its code as `exit_code`, set by its
+category in `errors`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import uuid
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from . import estimator, intercept, probe, simulator, stats, store
-from .errors import (
-    AllProbesLost,
-    ConfigError,
-    CorruptLine,
-    DelayNotAboveIntercept,
-    EmptyFile,
-    EqualSizes,
-    InsufficientObservations,
-    InsufficientPoints,
-    InsufficientSamples,
-    MissingColumn,
-    NonFiniteModel,
-    NonPositiveDelayDifference,
-    NonPositiveSlope,
-    NoReply,
-    NoSamples,
-    NoUsableSizes,
-    ProbePermissionError,
-    RankDeficient,
-    ResolveFailure,
-    SchemaMismatch,
-)
+from typing import Optional
 
-EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_UNREACHABLE = 2
-EXIT_ESTIMATION = 3
-EXIT_USAGE = 64
-EXIT_DATA = 65
+from . import errors, estimator, intercept, probe, simulator, stats, store
 
-_ESTIMATION_ERRORS = (
-    NoUsableSizes, EqualSizes, NonPositiveDelayDifference, DelayNotAboveIntercept,
-    InsufficientPoints, NonPositiveSlope, RankDeficient, InsufficientObservations,
-    NonFiniteModel, NoSamples, InsufficientSamples,
-)
-_DATA_ERRORS = (SchemaMismatch, CorruptLine, MissingColumn, EmptyFile, ConfigError,
-                probe.InvalidSample)
-_ENV_ERRORS = (ResolveFailure, ProbePermissionError, NoReply)
+_METHODS = (probe.METHOD_ICMP, probe.METHOD_UDP)
+_FORMATS = ("text", "json")
 
 # Deterministic stand-in for wall-clock time in simulated sessions, so equal
 # seed and config give byte-identical files.
 _EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
-class UsageError(Exception):
-    pass
+def size_list(text: str) -> tuple[int, ...]:
+    """Comma-separated sizes, as --sizes and sizes= take them."""
+    return tuple(int(part) for part in text.split(","))
+
+
+def _setting(default, parse, ok, rule: str):
+    """A CliConfig field. `parse` reads its value from config-file text, and
+    a value from a flag or a config file must satisfy `ok`, worded `rule`."""
+    return field(default=default, metadata={"parse": parse, "ok": ok, "rule": rule})
 
 
 @dataclass
 class CliConfig:
     """Built-in defaults, overridable by a config file, then by flags."""
 
-    sizes: tuple[int, ...] = probe.DEFAULT_SIZES
-    count: int = 30
-    gap: float = 0.05
-    timeout: float = 2.0
-    method: str = probe.METHOD_ICMP
-    udp_port: int = probe.DEFAULT_UDP_PORT
-    format: str = "text"
-    min_samples: int = 1
-    seed: Optional[int] = None  # None: keep the path config's own seed
+    sizes: tuple[int, ...] = _setting(
+        probe.DEFAULT_SIZES, size_list,
+        lambda sizes: min(sizes) > 0 and len(set(sizes)) == len(sizes), "positive and distinct")
+    count: int = _setting(30, int, lambda n: n >= 1, "at least 1")
+    gap: float = _setting(0.05, float, lambda s: 0 < s < math.inf, "positive and finite")
+    timeout: float = _setting(2.0, float, lambda s: 0 < s < math.inf, "positive and finite")
+    method: str = _setting(probe.METHOD_ICMP, str, _METHODS.__contains__,
+                           "one of " + ", ".join(_METHODS))
+    udp_port: int = _setting(probe.DEFAULT_UDP_PORT, int, lambda p: 0 < p < 65536,
+                             "in 1..65535")
+    format: str = _setting("text", str, _FORMATS.__contains__, "one of " + ", ".join(_FORMATS))
+    min_samples: int = _setting(1, int, lambda n: n >= 1, "at least 1")
+    # None keeps the path config's own seed
+    seed: Optional[int] = _setting(None, int, lambda n: 0 <= n < 2**64, "in 0..2**64-1")
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad size list {text!r}: {exc}") from exc
+def _checked(setting, value, error, where: str):
+    """`value`, if it keeps the rule of `setting`; else raises `error`."""
+    if not setting.metadata["ok"](value):
+        raise error(f"{where} must be {setting.metadata['rule']}, got {value!r}")
+    return value
 
 
 def load_config_file(path) -> dict:
-    """Parse key=value lines; '#' starts a comment."""
+    """Parse key=value lines; '#' starts a comment. Each value is read and
+    checked as its CliConfig field says, and ConfigError names a bad line."""
+    settings = {f.name: f for f in fields(CliConfig)}
     values = {}
-    field_types = {f.name: f.type for f in fields(CliConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in field_types:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                raise errors.ConfigError(f"{where}: expected key=value, got {line!r}")
+            key, _, text = (part.strip() for part in line.partition("="))
+            if key not in settings:
+                raise errors.ConfigError(f"{where}: unknown key {key!r}")
             try:
-                if key == "sizes":
-                    values[key] = tuple(int(p) for p in value.split(","))
-                elif key in ("count", "udp_port", "min_samples", "seed"):
-                    values[key] = int(value)
-                elif key in ("gap", "timeout"):
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                value = settings[key].metadata["parse"](text)
             except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+                raise errors.ConfigError(f"{where}: {key}: {exc}") from exc
+            values[key] = _checked(settings[key], value, errors.ConfigError, f"{where}: {key}")
     return values
 
 
 def _resolve_config(args) -> CliConfig:
-    cfg = CliConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    if getattr(args, "json", False):
-        cfg = replace(cfg, format="json")
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    """Each setting from its flag, else from the --config file, else its
+    default. A flag out of its setting's range raises UsageError."""
+    values = load_config_file(args.config) if args.config else {}
+    for setting in fields(CliConfig):
+        flag = getattr(args, setting.name, None)
+        if flag is not None:
+            values[setting.name] = _checked(setting, flag, errors.UsageError,
+                                            "--" + setting.name.replace("_", "-"))
+    return CliConfig(**values)
 
 
 def format_bitrate(bps: float) -> str:
@@ -136,17 +115,24 @@ def _format_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f} ms"
 
 
-def _estimate_to_json(est: estimator.BandwidthEstimate, profile: estimator.DelayProfile) -> dict:
+def _estimate_json(est: estimator.BandwidthEstimate, profile: estimator.DelayProfile) -> dict:
     return {
-        "b_av_bps": est.b_av_bps,
-        "intercept_s": est.intercept_s,
-        "residual_rms_s": est.residual_rms_s,
-        "method": est.method,
-        "warnings": list(est.warnings),
+        **asdict(est),
         "n_sizes": len(profile.points),
-        "samples_per_size": {str(k): v for k, v in profile.samples_per_size.items()},
-        "dropped_sizes": list(profile.dropped_sizes),
+        "samples_per_size": profile.samples_per_size,
+        "dropped_sizes": profile.dropped_sizes,
     }
+
+
+# json.dumps with the defaults, but refusing NaN and infinities
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _print_json(payload: dict) -> None:
+    try:
+        print(_STRICT_JSON.encode(payload))
+    except ValueError as exc:  # a result overflowed float64
+        raise errors.EstimationError(f"{exc}: {payload}") from exc
 
 
 def _print_estimate(est: estimator.BandwidthEstimate) -> None:
@@ -159,44 +145,20 @@ def _print_estimate(est: estimator.BandwidthEstimate) -> None:
         print(f"warning: {warning}")
 
 
-def _estimate_profile(profile: estimator.DelayProfile) -> estimator.BandwidthEstimate:
-    if len(profile.points) < 2:
-        raise NoUsableSizes(
-            f"only {len(profile.points)} usable size(s); need at least 2 "
-            f"(dropped: {list(profile.dropped_sizes) or 'none'})"
-        )
-    if len(profile.points) == 2:
-        return estimator.estimate_pairwise(*profile.points)
-    return estimator.estimate_regression(profile)
-
-
-def _load_samples(args, cfg: CliConfig) -> probe.SampleBatch:
-    if str(args.input).endswith(".csv"):
-        mapping = {
-            "size": args.size_column,
-            "size_unit": args.size_unit,
-            "delay": args.delay_column,
-            "timestamp": args.timestamp_column,
-            "lost": args.lost_column,
-        }
-        return store.import_csv(args.input, mapping)
-    return store.load_session(args.input).samples
-
-
-def cmd_probe(args, cfg: CliConfig) -> int:
+def cmd_probe(args, cfg: CliConfig) -> None:
     """Probe a live target and persist the session."""
     try:
         plan = probe.ProbePlan(
             target=args.target,
-            sizes_payload_bytes=_parse_sizes(args.sizes) if args.sizes else cfg.sizes,
-            count_per_size=args.count if args.count is not None else cfg.count,
-            inter_probe_gap_s=args.gap if args.gap is not None else cfg.gap,
-            timeout_s=args.timeout if args.timeout is not None else cfg.timeout,
-            method=args.method or cfg.method,
-            udp_port=args.udp_port if args.udp_port is not None else cfg.udp_port,
+            sizes_payload_bytes=cfg.sizes,
+            count_per_size=cfg.count,
+            inter_probe_gap_s=cfg.gap,
+            timeout_s=cfg.timeout,
+            method=cfg.method,
+            udp_port=cfg.udp_port,
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise errors.UsageError(str(exc)) from exc
 
     samples = probe.run_session(plan)
 
@@ -225,23 +187,20 @@ def cmd_probe(args, cfg: CliConfig) -> int:
     n_lost = int(samples.lost.sum())
     # The session is the product; a summary estimate can legitimately be
     # undefined (e.g. loopback, where the delay-size slope is pure noise).
-    est = profile = None
-    estimate_error = None
+    est = estimate_error = None
     try:
-        profile = estimator.min_delay_profile(samples, max(1, cfg.min_samples))
-        est = _estimate_profile(profile)
-    except _ESTIMATION_ERRORS as exc:
+        est, profile = estimator.estimate_bandwidth(samples, cfg.min_samples)
+    except errors.EstimationError as exc:
         estimate_error = f"{type(exc).__name__}: {exc}"
 
     if cfg.format == "json":
-        payload = _estimate_to_json(est, profile) if est else {"estimate_error": estimate_error}
-        payload.update({
+        _print_json({
+            **(_estimate_json(est, profile) if est else {"estimate_error": estimate_error}),
             "session_file": str(out_path),
             "session_id": session_id,
             "n_samples": len(samples),
             "n_lost": n_lost,
         })
-        print(json.dumps(payload))
     else:
         print(f"session: {out_path} ({len(samples)} samples, {n_lost} lost)")
         if features is not None:
@@ -250,48 +209,45 @@ def cmd_probe(args, cfg: CliConfig) -> int:
             _print_estimate(est)
         else:
             print(f"estimate unavailable: {estimate_error}")
-    return EXIT_OK
 
 
-def cmd_estimate(args, cfg: CliConfig) -> int:
+def cmd_estimate(args, cfg: CliConfig) -> None:
     """Estimate bandwidth from a stored session or a CSV of delays."""
-    threshold = args.min_samples if args.min_samples is not None else cfg.min_samples
-    if threshold < 1:
-        raise UsageError(f"--min-samples must be >= 1, got {threshold}")
-    samples = _load_samples(args, cfg)
-    if not len(samples):
-        raise NoSamples(f"{args.input}: no samples")
+    if str(args.input).endswith(".csv"):
+        samples = store.import_csv(args.input, {
+            "size": args.size_column,
+            "size_unit": args.size_unit,
+            "delay": args.delay_column,
+            "timestamp": args.timestamp_column,
+            "lost": args.lost_column,
+        })
+    else:
+        samples = store.load_session(args.input).samples
     if args.one_way_halve:
         # Delays are round-trip by default; halving assumes a symmetric path.
         print("warning: --one-way-halve assumes a symmetric path; "
               "delays divided by 2", file=sys.stderr)
         samples = samples.replace(rtt_s=samples.rtt_s / 2)
-    profile = estimator.min_delay_profile(samples, threshold)
-    est = _estimate_profile(profile)
+    est, profile = estimator.estimate_bandwidth(samples, cfg.min_samples)
     if cfg.format == "json":
-        payload = _estimate_to_json(est, profile)
-        payload["one_way_halve"] = bool(args.one_way_halve)
-        print(json.dumps(payload))
+        _print_json({**_estimate_json(est, profile), "one_way_halve": args.one_way_halve})
     else:
         _print_estimate(est)
-    return EXIT_OK
 
 
-def cmd_simulate(args, cfg: CliConfig) -> int:
+def cmd_simulate(args, cfg: CliConfig) -> None:
     """Run the path simulator and compare the estimate to ground truth."""
     path = simulator.load_path_file(args.path_config)
     if cfg.seed is not None:
-        path = simulator.SimPath(hops=path.hops, seed=cfg.seed)
-    sizes_bytes = _parse_sizes(args.sizes) if args.sizes else cfg.sizes
-    sizes_bits = tuple(8 * s for s in sizes_bytes)
-    count = args.count if args.count is not None else cfg.count
+        path = replace(path, seed=cfg.seed)
+    sizes_bits = tuple(8 * s for s in cfg.sizes)
 
-    samples = simulator.run_experiment(path, sizes_bits, count)
+    samples = simulator.run_experiment(path, sizes_bits, cfg.count)
 
     digest_src = store._dump({
         "plan": store._plan_to_json(path),
         "sizes": list(sizes_bits),
-        "count": count,
+        "count": cfg.count,
     })
     session_id = "sim-" + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
     record = store.SessionRecord(
@@ -306,44 +262,35 @@ def cmd_simulate(args, cfg: CliConfig) -> int:
 
     truth = simulator.ground_truth_rate(path)
     overhead = simulator.fixed_overhead(path)
-    profile = estimator.min_delay_profile(samples, max(1, min(cfg.min_samples, count)))
-    est = _estimate_profile(profile)
+    est, profile = estimator.estimate_bandwidth(samples, min(cfg.min_samples, cfg.count))
     if cfg.format == "json":
-        payload = _estimate_to_json(est, profile)
-        payload.update({
+        _print_json({
+            **_estimate_json(est, profile),
             "ground_truth_bps": truth,
             "fixed_overhead_s": overhead,
             "session_file": str(out_path),
             "session_id": session_id,
         })
-        print(json.dumps(payload))
     else:
         print(f"session: {out_path} ({len(samples)} samples)")
         print(f"ground truth = {format_bitrate(truth)} ({truth} bps), "
               f"overhead = {_format_ms(overhead)}")
         _print_estimate(est)
-    return EXIT_OK
 
 
-def cmd_calibrate(args, cfg: CliConfig) -> int:
+def cmd_calibrate(args, cfg: CliConfig) -> None:
     """Fit the intercept model from an observations CSV."""
     observations = store.read_observations_csv(args.observations)
     model = intercept.fit_intercept_model(
         observations, include_constant=args.with_constant
     )
-    model_json = {
-        "alpha_s_per_hop": model.alpha_s_per_hop,
-        "beta_s_per_km": model.beta_s_per_km,
-        "const_s": model.const_s,
-        "residual_rms_s": model.residual_rms_s,
-        "n_observations": model.n_observations,
-    }
+    model_json = asdict(model)
     out_path = args.output or "intercept-model.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(model_json, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if cfg.format == "json":
-        print(json.dumps({**model_json, "model_file": str(out_path)}, allow_nan=False))
+        _print_json({**model_json, "model_file": str(out_path)})
     else:
         print(f"alpha = {model.alpha_s_per_hop * 1e3:.6f} ms/hop")
         print(f"beta  = {model.beta_s_per_km * 1e3:.6f} ms/km")
@@ -352,13 +299,12 @@ def cmd_calibrate(args, cfg: CliConfig) -> int:
         print(f"residual_rms = {_format_ms(model.residual_rms_s)} "
               f"over {model.n_observations} paths")
         print(f"model: {out_path}")
-    return EXIT_OK
 
 
-def cmd_stats(args, cfg: CliConfig) -> int:
+def cmd_stats(args, cfg: CliConfig) -> None:
     """Summarize delays of a stored session."""
     if args.series and args.window < 2:
-        raise UsageError(f"--window must be >= 2, got {args.window}")
+        raise errors.UsageError(f"--window must be >= 2, got {args.window}")
     record = store.load_session(args.input)
     summary = stats.summarize(record.samples)
     if args.series:
@@ -372,18 +318,10 @@ def cmd_stats(args, cfg: CliConfig) -> int:
             print(f"series: {args.output} ({len(series)} windows)")
         else:
             print(text, end="")
-        return EXIT_OK
+        return
 
     if cfg.format == "json":
-        print(json.dumps({
-            "n_total": summary.n_total,
-            "n_lost": summary.n_lost,
-            "mean_s": summary.mean_s,
-            "lower_2_5_s": summary.lower_2_5_s,
-            "upper_97_5_s": summary.upper_97_5_s,
-            "jitter_s": summary.jitter_s,
-            "loss_rate": summary.loss_rate,
-        }))
+        _print_json(asdict(summary))
     else:
         print(f"samples = {summary.n_total}, lost = {summary.n_lost} "
               f"(loss rate {summary.loss_rate:.2%})")
@@ -395,32 +333,23 @@ def cmd_stats(args, cfg: CliConfig) -> int:
                   f"{_format_ms(summary.upper_97_5_s)} "
                   f"({summary.lower_2_5_s} s / {summary.upper_97_5_s} s)")
             print(f"jitter = {_format_ms(summary.jitter_s)} ({summary.jitter_s} s)")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(errors.UsageError.exit_code, f"{self.prog}: error: {message}\n")
 
 
-_parser = None
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first call and shared after
     it: parsing leaves no state in it, and building it costs about as much
     as a small command."""
-    global _parser
-    if _parser is None:
-        _parser = _make_parser()
-    return _parser
-
-
-def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--json", dest="format", action="store_const", const="json",
+                        help="machine-readable output")
     common.add_argument("--seed", type=int, metavar="U64", help="RNG seed override")
     common.add_argument("--output", metavar="FILE", help="output file path")
 
@@ -433,11 +362,12 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", parents=[common], help="probe a live target")
     p.add_argument("target", help="host name or IPv4 address")
-    p.add_argument("--sizes", metavar="B1,B2,...", help="payload sizes in bytes (default 100,1124)")
+    p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
+                   help="payload sizes in bytes (default 100,1124)")
     p.add_argument("--count", type=int, metavar="N", help="probes per size (default 30)")
     p.add_argument("--gap", type=float, metavar="SEC", help="inter-probe gap (default 0.05)")
     p.add_argument("--timeout", type=float, metavar="SEC", help="per-probe timeout (default 2.0)")
-    p.add_argument("--method", choices=[probe.METHOD_ICMP, probe.METHOD_UDP],
+    p.add_argument("--method", choices=_METHODS,
                    help="echo method (default icmp_echo)")
     p.add_argument("--udp-port", type=int, metavar="PORT", help="reflector port for udp_echo")
     p.add_argument("--hop-count", type=int, metavar="N", help="attach a known hop count")
@@ -464,7 +394,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="run the path simulator against ground truth")
     p.add_argument("path_config", help="path configuration JSON file")
-    p.add_argument("--sizes", metavar="B1,B2,...", help="wire sizes in bytes (default 100,1124)")
+    p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
+                   help="wire sizes in bytes (default 100,1124)")
     p.add_argument("--count", type=int, metavar="N", help="probes per size (default 30)")
     p.set_defaults(func=cmd_simulate)
 
@@ -490,28 +421,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else errors.UsageError.exit_code
     try:
-        cfg = _resolve_config(args)
-        return args.func(args, cfg)
-    except UsageError as exc:
-        print(f"deltaprobe: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AllProbesLost as exc:
-        print(f"deltaprobe: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except _ESTIMATION_ERRORS as exc:
-        print(f"deltaprobe: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except _DATA_ERRORS as exc:
-        print(f"deltaprobe: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _ENV_ERRORS as exc:
-        print(f"deltaprobe: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        args.func(args, _resolve_config(args))
+        return 0
+    except errors.DeltaProbeError as exc:
+        kind = "usage error" if isinstance(exc, errors.UsageError) else type(exc).__name__
+        print(f"deltaprobe: {kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"deltaprobe: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return errors.EnvironmentFailure.exit_code
 
 
 def run() -> None:

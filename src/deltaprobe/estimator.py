@@ -23,8 +23,10 @@ from .errors import (
     DelayNotAboveIntercept,
     EqualSizes,
     InsufficientPoints,
+    NonFiniteEstimate,
     NonPositiveDelayDifference,
     NonPositiveSlope,
+    NoSamples,
     NoUsableSizes,
 )
 from .probe import SampleBatch, Samples
@@ -266,3 +268,30 @@ def estimate_regression(profile: DelayProfile) -> BandwidthEstimate:
         residual_rms_s=fit.residual_rms_s,
         warnings=warnings,
     )
+
+
+def estimate_bandwidth(
+    samples: Samples,
+    min_samples_per_size: int = DEFAULT_MIN_SAMPLES_PER_SIZE,
+) -> tuple[BandwidthEstimate, DelayProfile]:
+    """The estimate of a session and the profile it was read off: per-size
+    minima, then the pairwise estimate for two sizes or the regression for
+    more. Raises NoSamples on an empty batch, NoUsableSizes when fewer than
+    two sizes keep enough samples and NonFiniteEstimate when a result
+    overflows float64."""
+    batch = SampleBatch.from_samples(samples)
+    if not len(batch):
+        raise NoSamples("no samples to estimate from")
+    profile = min_delay_profile(batch, min_samples_per_size)
+    if len(profile.points) < 2:
+        raise NoUsableSizes(
+            f"only {len(profile.points)} usable size(s); need at least 2 "
+            f"(dropped: {list(profile.dropped_sizes) or 'none'})"
+        )
+    if len(profile.points) == 2:
+        est = estimate_pairwise(*profile.points)
+    else:
+        est = estimate_regression(profile)
+    if not all(map(math.isfinite, (est.b_av_bps, est.intercept_s, est.residual_rms_s))):
+        raise NonFiniteEstimate(f"the estimate overflows float64: {est}")
+    return est, profile

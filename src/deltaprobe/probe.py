@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import AllProbesLost, NoReply, ProbePermissionError, ResolveFailure
+from .errors import AllProbesLost, InvalidSample, NoReply, ProbePermissionError, ResolveFailure
 
 METHOD_ICMP = "icmp_echo"
 METHOD_UDP = "udp_echo"
@@ -81,14 +81,6 @@ class ProbeSample:
             raise ValueError(f"rtt_s must be positive and finite, got {self.rtt_s}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-
-class InvalidSample(ValueError):
-    """A sample column breaks a rule; `index` is the first offending row."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(f"sample {index}: {message}")
-        self.index = index
 
 
 _INT_TYPES = (int, np.integer)

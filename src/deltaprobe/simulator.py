@@ -158,15 +158,8 @@ def path_from_config(config: dict) -> SimPath:
         raise ConfigError('path config needs a non-empty "hops" array')
     hops = []
     for i, hop_cfg in enumerate(hops_cfg):
-        if not isinstance(hop_cfg, dict) or "capacity_bps" not in hop_cfg:
-            raise ConfigError(f'hop {i} must be an object with "capacity_bps"')
-        known = {
-            "capacity_bps", "propagation_s", "processing_s",
-            "queue_noise_mean_s", "loss_prob",
-        }
-        unknown = set(hop_cfg) - known
-        if unknown:
-            raise ConfigError(f"hop {i} has unknown keys: {sorted(unknown)}")
+        # Hop(**...) refuses a hop that is not an object, lacks capacity_bps
+        # or has a key Hop does not know, with a TypeError naming it
         try:
             hops.append(Hop(**hop_cfg))
         except (TypeError, ValueError) as exc:

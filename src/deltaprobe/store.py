@@ -17,14 +17,14 @@ import logging
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
+from .errors import CorruptLine, EmptyFile, InvalidSample, MissingColumn, SchemaMismatch
 from .intercept import InvalidObservation, Observations, PathFeatures
-from .probe import METHOD_IMPORTED, InvalidSample, ProbePlan, SampleBatch, Samples
+from .probe import METHOD_IMPORTED, ProbePlan, ProbeSample, SampleBatch, Samples
 from .simulator import Hop, SimPath
 
 logger = logging.getLogger(__name__)
@@ -41,10 +41,7 @@ CANONICAL_CSV_MAPPING = {
     "lost": "lost",
 }
 
-_SAMPLE_FIELDS = (
-    "path_id", "seq", "payload_bytes", "wire_bits", "sent_at_us",
-    "rtt_s", "lost", "method",
-)
+_SAMPLE_FIELDS = tuple(f.name for f in fields(ProbeSample))
 _sample_fields_of = operator.itemgetter(*_SAMPLE_FIELDS)
 _TRUTHY = {"1", "true", "yes", "y", "lost"}
 
@@ -80,36 +77,15 @@ class SessionRecord:
             raise InvalidSample(int(unordered[0]) + 1, "samples must be ordered by seq")
 
 
+_PLAN_TYPES = {ProbePlan: "probe", SimPath: "sim"}
+
+
 def _plan_to_json(plan: Union[ProbePlan, SimPath, None]) -> Optional[dict]:
     if plan is None:
         return None
-    if isinstance(plan, ProbePlan):
-        return {
-            "type": "probe",
-            "target": plan.target,
-            "sizes_payload_bytes": list(plan.sizes_payload_bytes),
-            "count_per_size": plan.count_per_size,
-            "inter_probe_gap_s": plan.inter_probe_gap_s,
-            "timeout_s": plan.timeout_s,
-            "method": plan.method,
-            "udp_port": plan.udp_port,
-        }
-    if isinstance(plan, SimPath):
-        return {
-            "type": "sim",
-            "seed": plan.seed,
-            "hops": [
-                {
-                    "capacity_bps": h.capacity_bps,
-                    "propagation_s": h.propagation_s,
-                    "processing_s": h.processing_s,
-                    "queue_noise_mean_s": h.queue_noise_mean_s,
-                    "loss_prob": h.loss_prob,
-                }
-                for h in plan.hops
-            ],
-        }
-    raise TypeError(f"unsupported plan type {type(plan).__name__}")
+    if type(plan) not in _PLAN_TYPES:
+        raise TypeError(f"unsupported plan type {type(plan).__name__}")
+    return {"type": _PLAN_TYPES[type(plan)], **asdict(plan)}
 
 
 def _plan_from_json(obj: Optional[dict]) -> Union[ProbePlan, SimPath, None]:
@@ -130,16 +106,6 @@ def _plan_from_json(obj: Optional[dict]) -> Union[ProbePlan, SimPath, None]:
         hops = tuple(Hop(**h) for h in obj["hops"])
         return SimPath(hops=hops, seed=obj.get("seed", 0))
     raise ValueError(f"unknown plan type {kind!r}")
-
-
-def _features_to_json(features: Optional[PathFeatures]) -> Optional[dict]:
-    if features is None:
-        return None
-    return {
-        "path_id": features.path_id,
-        "hop_count_n": features.hop_count_n,
-        "route_length_l_km": features.route_length_l_km,
-    }
 
 
 def _dump(obj: dict) -> str:
@@ -169,8 +135,7 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
     )))
     for seq, extra in sample_extras.items():
         for i in np.flatnonzero(samples.seq == seq).tolist():
-            row = samples[i]
-            lines[i] = _dump({**{name: getattr(row, name) for name in _SAMPLE_FIELDS}, **extra}) + "\n"
+            lines[i] = _dump({**asdict(samples[i]), **extra}) + "\n"
     return "".join(lines)
 
 
@@ -181,7 +146,7 @@ def save_session(record: SessionRecord, path) -> None:
         "session_id": record.session_id,
         "created_at": record.created_at,
         "plan": _plan_to_json(record.plan),
-        "features": _features_to_json(record.features),
+        "features": None if record.features is None else asdict(record.features),
     }
     meta.update(record.extra)
     samples = record.samples

@@ -1,9 +1,15 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import deltaprobe
+from deltaprobe import probe
 from deltaprobe.cli import format_bitrate, main
 from deltaprobe.reflector import serve
 from deltaprobe.simulator import Hop, SimPath, run_experiment
@@ -412,6 +418,46 @@ def test_config_file_seed_matches_seed_flag(tmp_path):
     assert from_file.read_bytes() != own.read_bytes()
 
 
+@pytest.mark.parametrize("flags, config, code, needle", [
+    (["--sizes", "100,100"], None, 64, "usage error: --sizes must be positive and distinct"),
+    (["--sizes", "0,100"], None, 64, "usage error: --sizes must be positive and distinct"),
+    (["--count", "0"], None, 64, "usage error: --count must be at least 1, got 0"),
+    (["--seed", "-1"], None, 64, "usage error: --seed must be in 0..2**64-1, got -1"),
+    (["--seed", str(2**64)], None, 64, "usage error: --seed must be in 0..2**64-1"),
+    ([], "count=0", 65, "ConfigError: {config}:2: count must be at least 1, got 0"),
+    ([], "seed=-1", 65, "ConfigError: {config}:2: seed must be in 0..2**64-1, got -1"),
+])
+def test_simulator_rejected_values_exit_without_traceback(tmp_path, capfd, flags, config,
+                                                          code, needle):
+    argv = ["simulate", str(two_hop_config(tmp_path)), "--output", str(tmp_path / "s.jsonl")]
+    config_file = tmp_path / "deltaprobe.conf"
+    if config is not None:
+        config_file.write_text(f"# values the simulator refuses\n{config}\n")
+        argv += ["--config", str(config_file)]
+    assert main(argv + flags) == code
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert needle.format(config=config_file) in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("config, needle", [
+    ("format=xml", "format must be one of text, json, got 'xml'"),
+    ("method=foo", "method must be one of icmp_echo, udp_echo, got 'foo'"),
+    ("count=3.5", "count: invalid literal for int()"),
+    ("sizes=100,,1124", "sizes: invalid literal for int()"),
+    ("min_samples=0", "min_samples must be at least 1, got 0"),
+    ("udp_port=70000", "udp_port must be in 1..65535, got 70000"),
+])
+def test_config_file_values_are_checked(tmp_path, capsys, config, needle):
+    config_file = tmp_path / "deltaprobe.conf"
+    config_file.write_text(config + "\n")
+    for command in (["simulate", str(two_hop_config(tmp_path))], ["probe", "127.0.0.1"]):
+        argv = command + ["--config", str(config_file), "--output", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 65
+        assert f"deltaprobe: ConfigError: {config_file}:1: {needle}" in capsys.readouterr().err
+
+
 def test_usage_error_then_valid_command_in_one_process(adsl_csv, capsys):
     assert main(["frobnicate"]) == 64
     assert main(["estimate"]) == 64
@@ -518,8 +564,95 @@ def test_out_of_range_flags_are_usage_errors(sim_session, capsys):
     assert capsys.readouterr().err.count("usage error") == 2
 
 
+@pytest.mark.parametrize("rows, method", [
+    (["100,1e-300", "1124,1.0000000000000002e-300"], "pairwise"),
+    (["100,1e-300", "1124,1.0000000000000002e-300", "2148,1.0000000000000004e-300"], "regression"),
+])
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_estimate_nonfinite_bandwidth_exits_3(tmp_path, capsys, rows, method, output):
+    # delays 2e-316 s apart give a delay-size slope whose inverse is inf
+    csv_path = tmp_path / "tiny.csv"
+    csv_path.write_text("\n".join(["size_bytes,delay_s", *rows]) + "\n")
+    assert main(["estimate", *output, str(csv_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("deltaprobe: NonFiniteEstimate: ") and "b_av_bps=inf" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_json_output_is_strict_json_or_an_estimation_error(tmp_path, capsys):
+    # the mean of these finite delays exceeds float64 when summed
+    record = SessionRecord(session_id="huge", created_at="t", plan=None,
+                           samples=probe.SampleBatch("x", "imported", [0, 1], [100, 100],
+                                                     [800, 800], [0, 1], [1e308, 1.7e308]))
+    path = tmp_path / "huge.jsonl"
+    save_session(record, path)
+    code = main(["stats", "--json", str(path)])
+    out, err = capsys.readouterr()
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert code == 3 and out == "" and "EstimationError: Out of range float" in err
+
+
 def test_estimate_halving_a_subnormal_delay_exits_65(tmp_path, capsys):
     csv_path = tmp_path / "subnormal.csv"
     csv_path.write_text("size_bytes,delay_s\n100,5e-324\n1124,0.042\n")
     assert main(["estimate", "--one-way-halve", str(csv_path)]) == 65
     assert "rtt_s must be positive and finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+EXIT_CODES = {
+    "DeltaProbeError": 1,
+    "EnvironmentFailure": 1, "ResolveFailure": 1, "ProbePermissionError": 1, "NoReply": 1,
+    "AllProbesLost": 2,
+    "EstimationError": 3, "NoUsableSizes": 3, "EqualSizes": 3, "NonPositiveDelayDifference": 3,
+    "DelayNotAboveIntercept": 3, "InsufficientPoints": 3, "NonPositiveSlope": 3,
+    "NonFiniteEstimate": 3, "RankDeficient": 3, "InsufficientObservations": 3,
+    "NonFiniteModel": 3, "NoSamples": 3, "InsufficientSamples": 3,
+    "UsageError": 64,
+    "DataError": 65, "SchemaMismatch": 65, "CorruptLine": 65, "MissingColumn": 65,
+    "EmptyFile": 65, "ConfigError": 65, "InvalidSample": 65,
+}
+
+
+def test_every_exported_error_carries_its_exit_code():
+    exported = {name: value for name, value in vars(deltaprobe).items()
+                if isinstance(value, type) and issubclass(value, deltaprobe.DeltaProbeError)}
+    assert {name: cls.exit_code for name, cls in exported.items()} == EXIT_CODES
+    assert set(EXIT_CODES.values()) == {1, 2, 3, 64, 65}
+    assert probe.InvalidSample is deltaprobe.InvalidSample
+    assert issubclass(probe.InvalidSample, ValueError)
+
+
+def test_module_entry_point_exit_codes(adsl_csv, tmp_path):
+    one_size = tmp_path / "one.csv"
+    one_size.write_text("size_bytes,delay_s\n100,0.018\n100,0.019\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    cases = [
+        (["estimate", str(adsl_csv)], 0),
+        (["estimate", str(tmp_path / "nope.jsonl")], 1),
+        (["estimate", str(one_size)], 3),
+        (["estimate", "--min-samples", "0", str(adsl_csv)], 64),
+        (["estimate", str(empty)], 65),
+    ]
+    src = str(Path(deltaprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [subprocess.Popen([sys.executable, "-m", "deltaprobe.cli", *argv], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for argv, _ in cases]
+    for (argv, code), run in zip(cases, runs):
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == code, (argv, out, err)
+        assert "Traceback" not in err
+        assert ("B_av = 341.3 kbit/s" in out) == (code == 0)
