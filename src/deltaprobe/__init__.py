@@ -15,7 +15,6 @@ from .estimator import (
     LinearFit,
     SizeDelayPoint,
     estimate_bandwidth,
-    estimate_direct,
     estimate_from_intercept,
     estimate_intercept,
     estimate_pairwise,

@@ -118,7 +118,7 @@ def _format_ms(seconds: float) -> str:
 def _estimate_json(est: estimator.BandwidthEstimate, profile: estimator.DelayProfile) -> dict:
     return {
         **asdict(est),
-        "n_sizes": len(profile.points),
+        "n_sizes": len(profile.sizes_bits),
         "samples_per_size": profile.samples_per_size,
         "dropped_sizes": profile.dropped_sizes,
     }
@@ -147,18 +147,15 @@ def _print_estimate(est: estimator.BandwidthEstimate) -> None:
 
 def cmd_probe(args, cfg: CliConfig) -> None:
     """Probe a live target and persist the session."""
-    try:
-        plan = probe.ProbePlan(
-            target=args.target,
-            sizes_payload_bytes=cfg.sizes,
-            count_per_size=cfg.count,
-            inter_probe_gap_s=cfg.gap,
-            timeout_s=cfg.timeout,
-            method=cfg.method,
-            udp_port=cfg.udp_port,
-        )
-    except ValueError as exc:
-        raise errors.UsageError(str(exc)) from exc
+    plan = probe.ProbePlan(
+        target=args.target,
+        sizes_payload_bytes=cfg.sizes,
+        count_per_size=cfg.count,
+        inter_probe_gap_s=cfg.gap,
+        timeout_s=cfg.timeout,
+        method=cfg.method,
+        udp_port=cfg.udp_port,
+    )
 
     samples = probe.run_session(plan)
 

@@ -94,6 +94,10 @@ class NoReply(EnvironmentFailure):
     """Target never answered within the TTL search bound."""
 
 
+class InvalidProbePlan(UsageError, ValueError):
+    """A probe plan out of range, or one the probe engine cannot run."""
+
+
 # --- statistics ---------------------------------------------------------
 
 class NoSamples(EstimationError):

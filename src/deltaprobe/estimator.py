@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -29,15 +28,14 @@ from .errors import (
     NoSamples,
     NoUsableSizes,
 )
-from .probe import SampleBatch, Samples
+from .probe import SampleBatch, Samples, read_only_column
 
-METHOD_DIRECT = "direct"
 METHOD_PAIRWISE = "pairwise"
 METHOD_REGRESSION = "regression"
 METHOD_INTERCEPT_CORRECTED = "intercept_corrected"
 
 _ESTIMATE_METHODS = frozenset(
-    {METHOD_DIRECT, METHOD_PAIRWISE, METHOD_REGRESSION, METHOD_INTERCEPT_CORRECTED}
+    {METHOD_PAIRWISE, METHOD_REGRESSION, METHOD_INTERCEPT_CORRECTED}
 )
 
 # Minimum filtering needs enough samples per size for the one-sided noise
@@ -61,26 +59,36 @@ class SizeDelayPoint:
             raise ValueError(f"delay_s must be positive, got {self.delay_s}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayProfile:
-    """Per-size filtered minimum delays for one path, sorted by size."""
+    """Per-size filtered minimum delays for one path, as read-only columns
+    sorted by size: `sizes_bits` and `counts` (int64, the non-lost samples
+    behind each minimum) and `min_delay_s` (float64)."""
 
     path_id: str
-    points: tuple[SizeDelayPoint, ...]
-    samples_per_size: Mapping[int, int]
+    sizes_bits: np.ndarray
+    min_delay_s: np.ndarray
+    counts: np.ndarray
     dropped_sizes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("profile needs at least one point")
-        sizes = [p.size_bits for p in self.points]
-        if len(set(sizes)) != len(sizes):
-            raise ValueError(f"profile sizes must be distinct, got {sizes}")
-        if sizes != sorted(sizes):
-            raise ValueError("profile points must be sorted by size")
-        for size, count in self.samples_per_size.items():
-            if count < 1:
-                raise ValueError(f"samples_per_size[{size}] must be >= 1, got {count}")
+        for name, dtype in (("sizes_bits", np.int64), ("min_delay_s", np.float64),
+                            ("counts", np.int64)):
+            object.__setattr__(self, name, read_only_column(getattr(self, name), dtype, name))
+        sizes, delays, counts = self.sizes_bits, self.min_delay_s, self.counts
+        if not (sizes.size and sizes.shape == delays.shape == counts.shape
+                and (sizes > 0).all() and (np.diff(sizes) > 0).all()
+                and (delays > 0).all() and (counts >= 1).all()):
+            raise ValueError("profile needs nonempty columns of one length, sizes positive, "
+                             f"distinct and sorted, delays and counts positive: {self}")
+
+    @property
+    def points(self) -> tuple[SizeDelayPoint, ...]:
+        return tuple(map(SizeDelayPoint, self.sizes_bits.tolist(), self.min_delay_s.tolist()))
+
+    @property
+    def samples_per_size(self) -> dict[int, int]:
+        return dict(zip(self.sizes_bits.tolist(), self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ class LinearFit:
 
     def __post_init__(self):
         if not self.slope_s_per_bit > 0:
-            raise ValueError("slope_s_per_bit must be positive")
+            raise NonPositiveSlope(f"fitted slope {self.slope_s_per_bit} s/bit is not positive")
         if self.residual_rms_s < 0:
             raise ValueError("residual_rms_s must be nonnegative")
         if self.n_points < 2:
@@ -149,22 +157,12 @@ def min_delay_profile(
             f"no size has >= {min_samples_per_size} non-lost samples "
             f"({len(sizes)} sizes seen)"
         )
-    sizes, minima, counts = sizes.tolist(), minima.tolist(), counts.tolist()
-    kept = kept.tolist()
     return DelayProfile(
         path_id=batch.path_id,
-        points=tuple(SizeDelayPoint(w, d) for w, d, k in zip(sizes, minima, kept) if k),
-        samples_per_size={w: c for w, c, k in zip(sizes, counts, kept) if k},
-        dropped_sizes=tuple(w for w, k in zip(sizes, kept) if not k),
-    )
-
-
-def estimate_direct(point: SizeDelayPoint) -> BandwidthEstimate:
-    """Single-point throughput W/D; only exact on a path without fixed delay."""
-    return BandwidthEstimate(
-        b_av_bps=point.size_bits / point.delay_s,
-        intercept_s=0.0,
-        method=METHOD_DIRECT,
+        sizes_bits=sizes[kept],
+        min_delay_s=minima[kept],
+        counts=counts[kept],
+        dropped_sizes=tuple(sizes[~kept].tolist()),
     )
 
 
@@ -223,29 +221,34 @@ def estimate_from_intercept(point: SizeDelayPoint, intercept_s: float) -> Bandwi
     )
 
 
-def fit_linear(profile: DelayProfile) -> LinearFit:
-    """Unweighted least-squares line through the profile's (size, delay) points.
+def fit_line(sizes_bits: np.ndarray, delays_s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Least-squares (slope s/bit, intercept s, residual rms s) of delay on
+    size over the last axis, from centered sums: (k,) numpy columns give one
+    fit, (R, k) delays R fits. An overflow gives non-finite results, unwarned."""
+    n = delays_s.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_w = sizes_bits.sum(axis=-1) / n
+        mean_d = delays_s.sum(axis=-1) / n
+        dw = sizes_bits - mean_w[..., None]
+        sxx = (dw ** 2).sum(axis=-1)
+        sxy = (dw * (delays_s - mean_d[..., None])).sum(axis=-1)
+        slope = sxy / sxx
+        intercept = mean_d - slope * mean_w
+        residuals = delays_s - (intercept[..., None] + slope[..., None] * sizes_bits)
+        return slope, intercept, np.sqrt((residuals ** 2).sum(axis=-1) / n)
 
-    Uses centered sums for numerical stability; with exactly two points the
-    fit is exact and matches the pairwise solution.
-    """
-    points = profile.points
-    n = len(points)
+
+def fit_linear(profile: DelayProfile) -> LinearFit:
+    """`fit_line` of the profile's points; with exactly two points the fit is
+    exact and matches the pairwise solution."""
+    n = len(profile.sizes_bits)
     if n < 2:
         raise InsufficientPoints(f"need >= 2 profile points, got {n}")
-    mean_w = sum(p.size_bits for p in points) / n
-    mean_d = sum(p.delay_s for p in points) / n
-    sxx = sum((p.size_bits - mean_w) ** 2 for p in points)
-    sxy = sum((p.size_bits - mean_w) * (p.delay_s - mean_d) for p in points)
-    slope = sxy / sxx  # sxx > 0: sizes are distinct
-    if slope <= 0:
-        raise NonPositiveSlope(f"fitted slope {slope} s/bit is not positive")
-    intercept = mean_d - slope * mean_w
-    sq = sum((p.delay_s - (intercept + slope * p.size_bits)) ** 2 for p in points)
+    slope, intercept, rms = map(float, fit_line(profile.sizes_bits, profile.min_delay_s))
     return LinearFit(
         slope_s_per_bit=slope,
         intercept_s=intercept,
-        residual_rms_s=math.sqrt(sq / n),
+        residual_rms_s=rms,
         n_points=n,
     )
 
@@ -283,12 +286,12 @@ def estimate_bandwidth(
     if not len(batch):
         raise NoSamples("no samples to estimate from")
     profile = min_delay_profile(batch, min_samples_per_size)
-    if len(profile.points) < 2:
+    if len(profile.sizes_bits) < 2:
         raise NoUsableSizes(
-            f"only {len(profile.points)} usable size(s); need at least 2 "
+            f"only {len(profile.sizes_bits)} usable size(s); need at least 2 "
             f"(dropped: {list(profile.dropped_sizes) or 'none'})"
         )
-    if len(profile.points) == 2:
+    if len(profile.sizes_bits) == 2:
         est = estimate_pairwise(*profile.points)
     else:
         est = estimate_regression(profile)

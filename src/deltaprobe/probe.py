@@ -25,7 +25,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import AllProbesLost, InvalidSample, NoReply, ProbePermissionError, ResolveFailure
+from .errors import (AllProbesLost, InvalidProbePlan, InvalidSample, NoReply,
+                     ProbePermissionError, ResolveFailure)
 
 METHOD_ICMP = "icmp_echo"
 METHOD_UDP = "udp_echo"
@@ -89,7 +90,7 @@ _INT_FIELDS = ("seq", "payload_bytes", "wire_bits", "sent_at_us")
 _COLUMNS = (*_INT_FIELDS, "rtt_s")
 
 
-def _column(values, dtype, name: str) -> np.ndarray:
+def read_only_column(values, dtype, name: str) -> np.ndarray:
     """A read-only 1-D copy of `values` as `dtype`. Python sequences may hold
     only integers (and, for float columns, floats and None, which becomes
     NaN); bools and strings are refused, not converted."""
@@ -145,11 +146,11 @@ class SampleBatch(Sequence):
     def __init__(self, path_id, method, seq, payload_bytes, wire_bits, sent_at_us, rtt_s):
         self.path_id = path_id
         self.method = method
-        self.seq = _column(seq, np.int64, "seq")
-        self.payload_bytes = _column(payload_bytes, np.int64, "payload_bytes")
-        self.wire_bits = _column(wire_bits, np.int64, "wire_bits")
-        self.sent_at_us = _column(sent_at_us, np.int64, "sent_at_us")
-        self.rtt_s = _column(rtt_s, np.float64, "rtt_s")
+        self.seq = read_only_column(seq, np.int64, "seq")
+        self.payload_bytes = read_only_column(payload_bytes, np.int64, "payload_bytes")
+        self.wire_bits = read_only_column(wire_bits, np.int64, "wire_bits")
+        self.sent_at_us = read_only_column(sent_at_us, np.int64, "sent_at_us")
+        self.rtt_s = read_only_column(rtt_s, np.float64, "rtt_s")
         if not isinstance(method, str) or method not in _METHODS:
             raise InvalidSample(0, f"unknown method {method!r}")
         if len({len(getattr(self, name)) for name in _COLUMNS}) > 1:
@@ -251,19 +252,19 @@ class ProbePlan:
         object.__setattr__(self, "sizes_payload_bytes", tuple(self.sizes_payload_bytes))
         sizes = self.sizes_payload_bytes
         if not sizes:
-            raise ValueError("at least one probe size required")
+            raise InvalidProbePlan("at least one probe size required")
         if any(s <= 0 for s in sizes):
-            raise ValueError(f"probe sizes must be positive, got {sizes}")
+            raise InvalidProbePlan(f"probe sizes must be positive, got {sizes}")
         if len(set(sizes)) != len(sizes):
-            raise ValueError(f"probe sizes must be distinct, got {sizes}")
+            raise InvalidProbePlan(f"probe sizes must be distinct, got {sizes}")
         if self.count_per_size < 1:
-            raise ValueError("count_per_size must be >= 1")
+            raise InvalidProbePlan("count_per_size must be >= 1")
         if not self.inter_probe_gap_s > 0:
-            raise ValueError("inter_probe_gap_s must be positive")
+            raise InvalidProbePlan("inter_probe_gap_s must be positive")
         if not self.timeout_s > self.inter_probe_gap_s:
-            raise ValueError("timeout_s must exceed inter_probe_gap_s")
+            raise InvalidProbePlan("timeout_s must exceed inter_probe_gap_s")
         if self.method not in (METHOD_ICMP, METHOD_UDP):
-            raise ValueError(f"unsupported probe method {self.method!r}")
+            raise InvalidProbePlan(f"unsupported probe method {self.method!r}")
 
 
 def wire_size(payload_bytes: int, method: str) -> int:
@@ -505,13 +506,13 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatc
     no probe is answered.
     """
     if min(plan.sizes_payload_bytes) < MIN_PAYLOAD_BYTES:
-        raise ValueError(
+        raise InvalidProbePlan(
             f"payload must be at least {MIN_PAYLOAD_BYTES} bytes "
             "(timestamp + nonce prefix)"
         )
     total = len(plan.sizes_payload_bytes) * plan.count_per_size
     if total > 0xFFFF:
-        raise ValueError("session too large: sequence numbers are 16-bit")
+        raise InvalidProbePlan("session too large: sequence numbers are 16-bit")
 
     dst_ip = _resolve(plan.target)
     nonce = int.from_bytes(os.urandom(4), "big")

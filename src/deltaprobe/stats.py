@@ -20,6 +20,12 @@ from .probe import SampleBatch, Samples
 TRIM_FRACTION = 0.025
 
 
+def _overflow_scale(values: np.ndarray) -> float:
+    """1.0, or max(values) when the float64 sum of these nonnegative values overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 if np.isfinite(values.sum()) else float(values.max())
+
+
 @dataclass(frozen=True)
 class DelaySummary:
     """Trimmed delay statistics; delay fields are None when every sample
@@ -55,13 +61,15 @@ def summarize(samples: Samples) -> DelaySummary:
         )
     ordered = np.sort(delays)
     k = int(TRIM_FRACTION * m)
+    steps = np.abs(np.diff(delays))
+    scale, step_scale = _overflow_scale(delays), _overflow_scale(steps)
     return DelaySummary(
         n_total=n_total,
         n_lost=n_lost,
-        mean_s=float(delays.sum()) / m,
+        mean_s=float((delays / scale).sum()) / m * scale,
         lower_2_5_s=float(ordered[k]),
         upper_97_5_s=float(ordered[m - 1 - k]),
-        jitter_s=float(np.abs(np.diff(delays)).sum()) / (m - 1) if m > 1 else 0.0,
+        jitter_s=float((steps / step_scale).sum()) / (m - 1) * step_scale if m > 1 else 0.0,
         loss_rate=n_lost / n_total,
     )
 
@@ -86,6 +94,8 @@ def jitter_series(
         )
     # window sums of |delta| as differences of one running sum; its terms are
     # nonnegative, so a window of equal delays sums to exactly zero
-    running = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(delays)))))
-    jitter = (running[window - 1:] - running[:len(running) - window + 1]) / (window - 1)
+    steps = np.abs(np.diff(delays))
+    scale = _overflow_scale(steps)
+    running = np.concatenate(([0.0], np.cumsum(steps / scale)))
+    jitter = (running[window - 1:] - running[:len(running) - window + 1]) / (window - 1) * scale
     return list(zip(batch.sent_at_us[alive][window - 1:].tolist(), jitter.tolist()))

@@ -458,6 +458,29 @@ def test_config_file_values_are_checked(tmp_path, capsys, config, needle):
         assert f"deltaprobe: ConfigError: {config_file}:1: {needle}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, needle", [
+    ("sizes=4,100", "payload must be at least 12 bytes"),
+    ("count=40000", "session too large: sequence numbers are 16-bit"),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, setting, needle, via):
+    # simulate accepts these values: the probe engine is what refuses them,
+    # before it opens a socket
+    argv = ["probe", "127.0.0.1", "--method", "udp_echo", "--output", str(tmp_path / "s.jsonl")]
+    key, value = setting.split("=")
+    if via == "flag":
+        argv += [f"--{key}", value]
+    else:
+        config_file = tmp_path / "deltaprobe.conf"
+        config_file.write_text(setting + "\n")
+        argv += ["--config", str(config_file)]
+    assert main(argv) == 64
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"deltaprobe: usage error: {needle}" in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def test_usage_error_then_valid_command_in_one_process(adsl_csv, capsys):
     assert main(["frobnicate"]) == 64
     assert main(["estimate"]) == 64
@@ -579,6 +602,15 @@ def test_estimate_nonfinite_bandwidth_exits_3(tmp_path, capsys, rows, method, ou
     assert err.startswith("deltaprobe: NonFiniteEstimate: ") and "b_av_bps=inf" in err
 
 
+def test_estimate_regression_that_overflows_exits_3(tmp_path, capsys):
+    # finite delays near float64's maximum overflow the fit's sums
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("size_bytes,delay_s\n100,1e308\n600,1.5e308\n1124,1.7e308\n")
+    assert main(["estimate", "--json", str(csv_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("deltaprobe: NonPositiveSlope: fitted slope nan")
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -597,6 +629,18 @@ def test_json_output_is_strict_json_or_an_estimation_error(tmp_path, capsys):
         json.loads(out, parse_constant=_refuse_constant)
     else:
         assert code == 3 and out == "" and "EstimationError: Out of range float" in err
+
+
+def test_stats_json_of_finite_rtts_near_float64_max_is_finite(tmp_path, capsys):
+    record = SessionRecord(session_id="huge", created_at="t", plan=None,
+                           samples=probe.SampleBatch("x", "imported", [0, 1], [100, 100],
+                                                     [800, 800], [0, 1], [1e308, 1.7e308]))
+    path = tmp_path / "huge.jsonl"
+    save_session(record, path)
+    assert main(["stats", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["mean_s"] == pytest.approx(1.35e308)
+    assert payload["jitter_s"] == pytest.approx(0.7e308)
 
 
 def test_estimate_halving_a_subnormal_delay_exits_65(tmp_path, capsys):
@@ -618,7 +662,7 @@ EXIT_CODES = {
     "DelayNotAboveIntercept": 3, "InsufficientPoints": 3, "NonPositiveSlope": 3,
     "NonFiniteEstimate": 3, "RankDeficient": 3, "InsufficientObservations": 3,
     "NonFiniteModel": 3, "NoSamples": 3, "InsufficientSamples": 3,
-    "UsageError": 64,
+    "UsageError": 64, "InvalidProbePlan": 64,
     "DataError": 65, "SchemaMismatch": 65, "CorruptLine": 65, "MissingColumn": 65,
     "EmptyFile": 65, "ConfigError": 65, "InvalidSample": 65,
 }
@@ -631,6 +675,7 @@ def test_every_exported_error_carries_its_exit_code():
     assert set(EXIT_CODES.values()) == {1, 2, 3, 64, 65}
     assert probe.InvalidSample is deltaprobe.InvalidSample
     assert issubclass(probe.InvalidSample, ValueError)
+    assert issubclass(deltaprobe.InvalidProbePlan, ValueError)
 
 
 def test_module_entry_point_exit_codes(adsl_csv, tmp_path):

@@ -16,11 +16,11 @@ from deltaprobe.estimator import (
     BandwidthEstimate,
     DelayProfile,
     SizeDelayPoint,
-    estimate_direct,
     estimate_from_intercept,
     estimate_intercept,
     estimate_pairwise,
     estimate_regression,
+    fit_line,
     fit_linear,
     invert_slope,
     min_delay_profile,
@@ -45,9 +45,9 @@ def affine_points(a0, rate_bps, sizes):
 
 
 def profile_from_points(points, path_id="p"):
-    pts = tuple(sorted(points, key=lambda p: p.size_bits))
-    return DelayProfile(path_id=path_id, points=pts,
-                        samples_per_size={p.size_bits: 1 for p in pts})
+    pts = sorted(points, key=lambda p: p.size_bits)
+    return DelayProfile(path_id=path_id, sizes_bits=[p.size_bits for p in pts],
+                        min_delay_s=[p.delay_s for p in pts], counts=[1] * len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +64,21 @@ def test_point_rejects_nonpositive_size():
         SizeDelayPoint(0, 0.01)
 
 
-def test_profile_rejects_unsorted_points():
-    pts = (SizeDelayPoint(8992, 0.042), SizeDelayPoint(800, 0.018))
+@pytest.mark.parametrize("sizes, delays, counts", [
+    pytest.param([8992, 800], [0.042, 0.018], [1, 1], id="unsorted"),
+    pytest.param([800, 800], [0.018, 0.020], [1, 1], id="duplicate"),
+    pytest.param([800, 8992], [0.018], [1, 1], id="shape_mismatch"),
+    pytest.param([800, 8992], [0.018, 0.0], [1, 1], id="nonpositive_delay"),
+    pytest.param([800, 8992], [0.018, 0.042], [1, 0], id="zero_count"),
+])
+def test_profile_rejects_bad_columns(sizes, delays, counts):
     with pytest.raises(ValueError):
-        DelayProfile(path_id="p", points=pts, samples_per_size={800: 1, 8992: 1})
-
-
-def test_profile_rejects_duplicate_sizes():
-    pts = (SizeDelayPoint(800, 0.018), SizeDelayPoint(800, 0.020))
-    with pytest.raises(ValueError):
-        DelayProfile(path_id="p", points=pts, samples_per_size={800: 2})
+        DelayProfile(path_id="p", sizes_bits=sizes, min_delay_s=delays, counts=counts)
 
 
 def test_estimate_rejects_nonpositive_bandwidth():
     with pytest.raises(ValueError):
-        BandwidthEstimate(b_av_bps=0.0, intercept_s=0.0, method="direct")
+        BandwidthEstimate(b_av_bps=0.0, intercept_s=0.0, method="pairwise")
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,8 @@ def test_min_delay_is_lower_bound_and_attained():
 
 
 # ---------------------------------------------------------------------------
-# direct / pairwise / intercept estimators
+# pairwise / intercept estimators
 # ---------------------------------------------------------------------------
-
-def test_direct_unit_ratio():
-    est = estimate_direct(SizeDelayPoint(8192, 1.0))
-    assert est.b_av_bps == 8192.0
-    assert est.intercept_s == 0.0
-    assert est.method == "direct"
-
-
-def test_direct_single_hop_value():
-    # 1 Mbps hop with 10 ms propagation seen through a single 800-bit probe:
-    # plain W/D underestimates because propagation is folded in.
-    est = estimate_direct(SizeDelayPoint(800, 0.0108))
-    assert est.b_av_bps == pytest.approx(800 / 0.0108)
-    assert est.b_av_bps == pytest.approx(74074.074, abs=0.001)
-
 
 def test_pairwise_adsl_pair():
     est = estimate_pairwise(ADSL_SMALL, ADSL_LARGE)
@@ -278,6 +263,33 @@ def test_fit_negative_slope_rejected():
 def test_fit_single_point_rejected():
     with pytest.raises(InsufficientPoints):
         fit_linear(profile_from_points([ADSL_SMALL]))
+
+
+def _loop_fit(sizes, delays):
+    # reference: centered sums added left to right in Python
+    n = len(sizes)
+    mean_w, mean_d = sum(sizes) / n, sum(delays) / n
+    sxx = sum((w - mean_w) ** 2 for w in sizes)
+    slope = sum((w - mean_w) * (d - mean_d) for w, d in zip(sizes, delays)) / sxx
+    intercept = mean_d - slope * mean_w
+    sq = sum((d - (intercept + slope * w)) ** 2 for w, d in zip(sizes, delays))
+    return slope, intercept, math.sqrt(sq / n)
+
+
+def test_fit_line_batch_equals_single_fits_and_the_loop_reference():
+    rng = np.random.default_rng(107)
+    for k in (2, 3, 5, 8, 12):
+        sizes = np.sort(rng.choice(np.arange(256, 65536), size=k, replace=False))
+        delays = 0.01 + sizes / 1e6 + rng.exponential(0.002, size=(50, k))
+        batch = fit_line(sizes, delays)
+        for row, delays_row in enumerate(delays):
+            single = tuple(map(float, fit_line(sizes, delays_row)))
+            assert single == tuple(column[row] for column in batch)
+            reference = _loop_fit(sizes.tolist(), delays_row.tolist())
+            if k < 8:  # numpy adds fewer than 8 terms left to right, as Python does
+                assert single == reference
+            else:
+                assert single == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("rate_bps", [285e6, 128e6, 222e6, 205e6])

@@ -166,3 +166,23 @@ def test_series_matches_per_window_loop_on_long_input():
     assert [ts for ts, _ in series] == [ts for ts, _ in expected]
     scale = sum(j for _, j in expected) / len(expected)
     assert max(abs(a - b) for (_, a), (_, b) in zip(series, expected)) <= 1e-9 * scale
+
+
+def test_finite_delays_near_float64_max_keep_finite_statistics():
+    # their plain sums overflow float64; mean and jitter do not
+    samples = make_series(800, [1e308, 1.7e308] * 4)
+    summary = summarize(samples)
+    assert summary.mean_s == pytest.approx(1.35e308)
+    assert summary.jitter_s == pytest.approx(0.7e308)
+    series = jitter_series(samples, 2)
+    assert [jitter for _, jitter in series] == pytest.approx([0.7e308] * 7)
+
+
+def test_finite_sums_keep_the_plain_formula():
+    delays = np.random.default_rng(5).uniform(0.001, 0.1, 101)
+    summary = summarize(make_series(800, delays.tolist()))
+    assert summary.mean_s == float(delays.sum()) / 101
+    assert summary.jitter_s == float(np.abs(np.diff(delays)).sum()) / 100
+    running = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(delays)))))
+    series = jitter_series(make_series(800, delays.tolist()), 10)
+    assert [jitter for _, jitter in series] == ((running[9:] - running[:-9]) / 9).tolist()
