@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import uuid
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -117,7 +117,7 @@ def _format_ms(seconds: float) -> str:
 
 def _estimate_json(est: estimator.BandwidthEstimate, profile: estimator.DelayProfile) -> dict:
     return {
-        **asdict(est),
+        **store.record_dict(est),
         "n_sizes": len(profile.sizes_bits),
         "samples_per_size": profile.samples_per_size,
         "dropped_sizes": profile.dropped_sizes,
@@ -241,8 +241,8 @@ def cmd_simulate(args, cfg: CliConfig) -> None:
 
     samples = simulator.run_experiment(path, sizes_bits, cfg.count)
 
-    digest_src = store._dump({
-        "plan": store._plan_to_json(path),
+    digest_src = store.dump_line({
+        "plan": store.plan_to_json(path),
         "sizes": list(sizes_bits),
         "count": cfg.count,
     })
@@ -281,7 +281,7 @@ def cmd_calibrate(args, cfg: CliConfig) -> None:
     model = intercept.fit_intercept_model(
         observations, include_constant=args.with_constant
     )
-    model_json = asdict(model)
+    model_json = store.record_dict(model)
     out_path = args.output or "intercept-model.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(model_json, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -303,7 +303,6 @@ def cmd_stats(args, cfg: CliConfig) -> None:
     if args.series and args.window < 2:
         raise errors.UsageError(f"--window must be >= 2, got {args.window}")
     record = store.load_session(args.input)
-    summary = stats.summarize(record.samples)
     if args.series:
         series = stats.jitter_series(record.samples, args.window)
         lines = ["sent_at_us,jitter_s"]
@@ -317,8 +316,9 @@ def cmd_stats(args, cfg: CliConfig) -> None:
             print(text, end="")
         return
 
+    summary = stats.summarize(record.samples)
     if cfg.format == "json":
-        _print_json(asdict(summary))
+        _print_json(store.record_dict(summary))
     else:
         print(f"samples = {summary.n_total}, lost = {summary.n_lost} "
               f"(loss rate {summary.loss_rate:.2%})")

@@ -240,17 +240,21 @@ def fit_line(sizes_bits: np.ndarray, delays_s: np.ndarray) -> tuple[np.ndarray, 
 
 def fit_linear(profile: DelayProfile) -> LinearFit:
     """`fit_line` of the profile's points; with exactly two points the fit is
-    exact and matches the pairwise solution."""
+    exact and matches the pairwise solution. A positive slope is required
+    (NonPositiveSlope), then a finite fit (NonFiniteEstimate)."""
     n = len(profile.sizes_bits)
     if n < 2:
         raise InsufficientPoints(f"need >= 2 profile points, got {n}")
     slope, intercept, rms = map(float, fit_line(profile.sizes_bits, profile.min_delay_s))
-    return LinearFit(
+    fit = LinearFit(
         slope_s_per_bit=slope,
         intercept_s=intercept,
         residual_rms_s=rms,
         n_points=n,
     )
+    if not all(map(math.isfinite, (slope, intercept, rms))):
+        raise NonFiniteEstimate(f"the fit overflows float64: {fit}")
+    return fit
 
 
 def invert_slope(slope_s_per_bit: float) -> float:

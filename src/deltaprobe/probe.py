@@ -120,9 +120,8 @@ def read_only_column(values, dtype, name: str) -> np.ndarray:
 
 
 def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        index = int(bad[0])
+    if not ok.all():
+        index = int(ok.argmin())  # the first False
         raise InvalidSample(index, f"{message}, got {values[index]}")
 
 
@@ -181,13 +180,25 @@ class SampleBatch(Sequence):
 
     @classmethod
     def concat(cls, batches: Sequence["SampleBatch"]) -> "SampleBatch":
-        """The samples of several batches of one path_id and method, in order."""
+        """The samples of several batches of one path_id and method, in order,
+        joined without checking their rows again; a lone batch as it is."""
         ids = {(b.path_id, b.method) for b in batches}
         if len(ids) != 1:
             raise ValueError(f"batches mix path ids or methods: {ids}")
-        (path_id, method), = ids
-        return cls(path_id, method,
-                   *(np.concatenate([getattr(b, name) for b in batches]) for name in _COLUMNS))
+        if len(batches) == 1:
+            return batches[0]
+        return cls._unchecked(*ids.pop(), [np.concatenate([getattr(b, name) for b in batches])
+                                           for name in _COLUMNS])
+
+    @classmethod
+    def _unchecked(cls, path_id, method, columns) -> "SampleBatch":
+        """A batch of columns that keep every rule, made read-only, not checked."""
+        batch = object.__new__(cls)
+        batch.path_id, batch.method = path_id, method
+        for name, column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            setattr(batch, name, column)
+        return batch
 
     @property
     def lost(self) -> np.ndarray:
@@ -202,11 +213,8 @@ class SampleBatch(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            view = object.__new__(SampleBatch)
-            view.path_id, view.method = self.path_id, self.method
-            for name in _COLUMNS:
-                setattr(view, name, getattr(self, name)[index])
-            return view
+            return self._unchecked(self.path_id, self.method,
+                                   [getattr(self, name)[index] for name in _COLUMNS])
         i = range(len(self))[index]
         return self._row(*(getattr(self, name)[i].item() for name in _COLUMNS))
 

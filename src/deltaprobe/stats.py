@@ -20,10 +20,16 @@ from .probe import SampleBatch, Samples
 TRIM_FRACTION = 0.025
 
 
-def _overflow_scale(values: np.ndarray) -> float:
-    """1.0, or max(values) when the float64 sum of these nonnegative values overflows."""
-    with np.errstate(over="ignore"):
-        return 1.0 if np.isfinite(values.sum()) else float(values.max())
+def _scaled_sum(sum_of, values: np.ndarray) -> tuple:
+    """(sum_of(values), 1.0) for the sum (np.add.reduce) or the running sum
+    (np.add.accumulate) of nonnegative values; only when that overflows
+    float64, (sum_of(values / scale), scale) with scale = max(values)."""
+    try:
+        with np.errstate(over="raise"):
+            return sum_of(values), 1.0
+    except FloatingPointError:
+        scale = float(values.max())
+        return sum_of(values / scale), scale
 
 
 @dataclass(frozen=True)
@@ -61,15 +67,15 @@ def summarize(samples: Samples) -> DelaySummary:
         )
     ordered = np.sort(delays)
     k = int(TRIM_FRACTION * m)
-    steps = np.abs(np.diff(delays))
-    scale, step_scale = _overflow_scale(delays), _overflow_scale(steps)
+    total, scale = _scaled_sum(np.add.reduce, delays)
+    step_total, step_scale = _scaled_sum(np.add.reduce, np.abs(np.diff(delays)))
     return DelaySummary(
         n_total=n_total,
         n_lost=n_lost,
-        mean_s=float((delays / scale).sum()) / m * scale,
+        mean_s=float(total) / m * scale,
         lower_2_5_s=float(ordered[k]),
         upper_97_5_s=float(ordered[m - 1 - k]),
-        jitter_s=float((steps / step_scale).sum()) / (m - 1) * step_scale if m > 1 else 0.0,
+        jitter_s=float(step_total) / (m - 1) * step_scale if m > 1 else 0.0,
         loss_rate=n_lost / n_total,
     )
 
@@ -94,8 +100,7 @@ def jitter_series(
         )
     # window sums of |delta| as differences of one running sum; its terms are
     # nonnegative, so a window of equal delays sums to exactly zero
-    steps = np.abs(np.diff(delays))
-    scale = _overflow_scale(steps)
-    running = np.concatenate(([0.0], np.cumsum(steps / scale)))
+    running, scale = _scaled_sum(np.add.accumulate, np.abs(np.diff(delays)))
+    running = np.concatenate(([0.0], running))
     jitter = (running[window - 1:] - running[:len(running) - window + 1]) / (window - 1) * scale
     return list(zip(batch.sent_at_us[alive][window - 1:].tolist(), jitter.tolist()))

@@ -17,7 +17,7 @@ import logging
 import operator
 import os
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -72,20 +72,30 @@ class SessionRecord:
 
     def __post_init__(self):
         self.samples = SampleBatch.from_samples(self.samples)
-        unordered = np.flatnonzero(np.diff(self.samples.seq) < 0)
-        if unordered.size:
-            raise InvalidSample(int(unordered[0]) + 1, "samples must be ordered by seq")
+        unordered = np.diff(self.samples.seq) < 0
+        if unordered.any():
+            raise InvalidSample(int(unordered.argmax()) + 1, "samples must be ordered by seq")
+
+
+def record_dict(record) -> dict:
+    """dataclasses.asdict(record) for the records this package writes as JSON,
+    without its deep copy: fields in order, values shared, SimPath.hops as dicts."""
+    obj = {name: getattr(record, name) for name in record.__dataclass_fields__}
+    if isinstance(record, SimPath):
+        obj["hops"] = tuple(map(record_dict, record.hops))
+    return obj
 
 
 _PLAN_TYPES = {ProbePlan: "probe", SimPath: "sim"}
 
 
-def _plan_to_json(plan: Union[ProbePlan, SimPath, None]) -> Optional[dict]:
+def plan_to_json(plan: Union[ProbePlan, SimPath, None]) -> Optional[dict]:
+    """The plan as the metadata line of a session file holds it."""
     if plan is None:
         return None
     if type(plan) not in _PLAN_TYPES:
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
-    return {"type": _PLAN_TYPES[type(plan)], **asdict(plan)}
+    return {"type": _PLAN_TYPES[type(plan)], **record_dict(plan)}
 
 
 def _plan_from_json(obj: Optional[dict]) -> Union[ProbePlan, SimPath, None]:
@@ -108,14 +118,14 @@ def _plan_from_json(obj: Optional[dict]) -> Union[ProbePlan, SimPath, None]:
     raise ValueError(f"unknown plan type {kind!r}")
 
 
-def _dump(obj: dict) -> str:
-    # stable key order and no whitespace: identical records give identical bytes
+def dump_line(obj: dict) -> str:
+    """`obj` as one compact line of JSON, keys sorted: equal records give equal bytes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
     """One JSON line per sample, each ending in a newline, byte for byte what
-    _dump makes of the sample's fields: keys in sorted order, floats by repr."""
+    dump_line makes of the sample's fields: keys in sorted order, floats by repr."""
     def scalar(value) -> str:
         return json.dumps(value).replace("%", "%%")
 
@@ -135,7 +145,7 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
     )))
     for seq, extra in sample_extras.items():
         for i in np.flatnonzero(samples.seq == seq).tolist():
-            lines[i] = _dump({**asdict(samples[i]), **extra}) + "\n"
+            lines[i] = dump_line({**record_dict(samples[i]), **extra}) + "\n"
     return "".join(lines)
 
 
@@ -145,13 +155,13 @@ def save_session(record: SessionRecord, path) -> None:
         "schema": SCHEMA_VERSION,
         "session_id": record.session_id,
         "created_at": record.created_at,
-        "plan": _plan_to_json(record.plan),
-        "features": None if record.features is None else asdict(record.features),
+        "plan": plan_to_json(record.plan),
+        "features": None if record.features is None else record_dict(record.features),
     }
     meta.update(record.extra)
     samples = record.samples
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump(meta) + "\n")
+        fh.write(dump_line(meta) + "\n")
         for start in range(0, len(samples), _CHUNK_LINES):
             fh.write(_sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras))
         fh.flush()

@@ -282,6 +282,15 @@ def test_stats_empty_session_exits_3(tmp_path, capsys):
     assert main(["stats", str(path)]) == 3
 
 
+def test_stats_series_of_an_empty_session_exits_3(tmp_path, capsys):
+    record = SessionRecord(session_id="empty", created_at="t", plan=None, samples=[])
+    path = tmp_path / "empty.jsonl"
+    save_session(record, path)
+    assert main(["stats", "--series", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("deltaprobe: InsufficientSamples: need >= 10")
+
+
 def test_estimate_empty_session_exits_3(tmp_path, capsys):
     record = SessionRecord(session_id="empty", created_at="t", plan=None, samples=[])
     path = tmp_path / "empty.jsonl"
@@ -609,6 +618,18 @@ def test_estimate_regression_that_overflows_exits_3(tmp_path, capsys):
     assert main(["estimate", "--json", str(csv_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("deltaprobe: NonPositiveSlope: fitted slope nan")
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_estimate_regression_with_an_infinite_slope_exits_3(tmp_path, capsys, output):
+    # the fit's slope overflows to inf, whose inverse would read as 0 bit/s
+    csv_path = tmp_path / "steep.csv"
+    csv_path.write_text("size_bytes,delay_s\n100,1e-300\n1124,1e-300\n5000,1.7e308\n")
+    assert main(["estimate", *output, str(csv_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("deltaprobe: NonFiniteEstimate: the fit overflows float64")
+    assert "slope_s_per_bit=inf" in err
 
 
 def _refuse_constant(name):

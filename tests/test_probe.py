@@ -3,6 +3,7 @@ import random
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from deltaprobe.errors import AllProbesLost, NoReply, ResolveFailure
@@ -19,6 +20,8 @@ from deltaprobe.probe import (
     wire_size,
 )
 from deltaprobe.reflector import serve
+
+COLUMNS = ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")
 
 
 def _have_icmp_socket() -> bool:
@@ -294,6 +297,33 @@ def test_batch_rejects_unknown_method_and_mixed_paths():
     rows[2] = ProbeSample("q", 2, 100, 1024, 2000, 0.019, False, "icmp_echo")
     with pytest.raises(ValueError):
         SampleBatch.from_samples(rows)
+
+
+def _batch(path_id, method, seq, rng):
+    payload = rng.integers(1, 9000, len(seq))
+    rtt = rng.uniform(1e-4, 0.5, len(seq))
+    rtt[rng.random(len(seq)) < 0.2] = np.nan
+    return SampleBatch(path_id, method, seq, payload, payload * 8 + 224,
+                       rng.integers(0, 10 ** 15, len(seq)), rtt)
+
+
+def test_concat_of_checked_parts_equals_a_fresh_batch():
+    rng = np.random.default_rng(12)
+    parts = [_batch("p", "udp_echo", np.arange(start, stop), rng)
+             for start, stop in ((0, 7), (7, 8), (8, 40))]
+    joined = SampleBatch.concat(parts)
+    fresh = SampleBatch("p", "udp_echo", *(np.concatenate([getattr(b, name) for b in parts])
+                                           for name in COLUMNS))
+    assert joined == fresh
+    for name in COLUMNS:
+        column = getattr(joined, name)
+        assert column.dtype == getattr(fresh, name).dtype
+        assert column.tobytes() == getattr(fresh, name).tobytes()
+        assert not column.flags.writeable
+    assert SampleBatch.concat(parts[:1]) is parts[0]
+    for other in (_batch("q", "udp_echo", [40], rng), _batch("p", "icmp_echo", [40], rng)):
+        with pytest.raises(ValueError, match="mix path ids or methods"):
+            SampleBatch.concat([*parts, other])
 
 
 def test_sample_rejects_nonfinite_rtt():

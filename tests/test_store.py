@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import stat
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 
 from conftest import make_sample
 from deltaprobe.errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
-from deltaprobe.estimator import estimate_pairwise, min_delay_profile
-from deltaprobe.intercept import Observations, PathFeatures, fit_intercept_model
+from deltaprobe.estimator import BandwidthEstimate, estimate_pairwise, min_delay_profile
+from deltaprobe.intercept import InterceptModel, Observations, PathFeatures, fit_intercept_model
 from deltaprobe.probe import ProbePlan, ProbeSample
 from deltaprobe import store
 from deltaprobe.probe import SampleBatch
 from deltaprobe.simulator import Hop, SimPath
+from deltaprobe.stats import DelaySummary
 from deltaprobe.store import (
     CANONICAL_CSV_MAPPING,
     SessionRecord,
@@ -336,6 +338,47 @@ def test_load_rejects_samples_out_of_seq_order(tmp_path):
     with pytest.raises(CorruptLine) as excinfo:
         load_session(path)
     assert excinfo.value.line_number == 7
+
+
+@pytest.mark.parametrize("spacing", [False, True], ids=["bulk", "json"])
+def test_load_checks_each_chunk_once_and_concat_never(tmp_path, monkeypatch, spacing):
+    path, lines = _long_session(tmp_path, n=10)
+    if spacing:  # lines the bulk parser does not take
+        path.write_text("\n".join(line.replace('"lost":', '"lost": ') for line in lines) + "\n")
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    built = []
+    init = SampleBatch.__init__
+
+    def counting_init(self, path_id, method, seq, *columns):
+        built.append(len(seq))
+        init(self, path_id, method, seq, *columns)
+
+    monkeypatch.setattr(SampleBatch, "__init__", counting_init)
+    record = load_session(path)
+    assert built == [4, 4, 2]
+    monkeypatch.undo()
+    assert record.samples == load_session(path).samples
+    assert record.samples.seq.tolist() == list(range(10))
+
+
+def test_record_dict_is_asdict_without_the_deep_copy():
+    records = [
+        BandwidthEstimate(341e3, -0.002, "regression", 1e-4, ("negative intercept", "other")),
+        DelaySummary(n_total=4, n_lost=4, mean_s=None, lower_2_5_s=None, upper_97_5_s=None,
+                     jitter_s=None, loss_rate=1.0),
+        InterceptModel(alpha_s_per_hop=1e-4, beta_s_per_km=5e-6, residual_rms_s=2e-5,
+                       n_observations=12, const_s=0.001),
+        SimPath(hops=(Hop(capacity_bps=1e6, propagation_s=0.01),
+                      Hop(2e6, 0.002, 1e-5, 1e-3, 0.01), Hop(capacity_bps=5e6)), seed=9),
+        ProbePlan(target="example.net", sizes_payload_bytes=(100, 600, 1124), count_per_size=5),
+        PathFeatures(path_id="example.net", hop_count_n=7, route_length_l_km=1500.0),
+    ]
+    for record in records:
+        shallow, deep = store.record_dict(record), asdict(record)
+        assert shallow == deep and list(shallow) == list(deep)
+        assert json.dumps(shallow) == json.dumps(deep)
+        assert store.dump_line(shallow) == store.dump_line(deep)
+    assert store.plan_to_json(records[3]) == {"type": "sim", **asdict(records[3])}
 
 
 # ---------------------------------------------------------------------------
