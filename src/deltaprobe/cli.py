@@ -157,18 +157,22 @@ def cmd_probe(args, cfg: CliConfig) -> None:
         udp_port=cfg.udp_port,
     )
 
-    samples = probe.run_session(plan)
-
+    # checked before the session is sent: a refused flag costs no session
     features = None
     if args.hop_count is not None or args.discover_hops:
         hop_count = args.hop_count
         if hop_count is None:
             hop_count = probe.discover_hops(plan.target)
-        features = intercept.PathFeatures(
-            path_id=plan.target,
-            hop_count_n=hop_count,
-            route_length_l_km=args.route_km or 0.0,
-        )
+        try:
+            features = intercept.PathFeatures(
+                path_id=plan.target,
+                hop_count_n=hop_count,
+                route_length_l_km=args.route_km or 0.0,
+            )
+        except ValueError as exc:
+            raise errors.UsageError(f"--hop-count or --route-km: {exc}") from exc
+
+    samples = probe.run_session(plan)
 
     session_id = uuid.uuid4().hex[:16]
     record = store.SessionRecord(

@@ -32,8 +32,9 @@ class PathFeatures:
     def __post_init__(self):
         if self.hop_count_n < 1:
             raise ValueError(f"hop_count_n must be >= 1, got {self.hop_count_n}")
-        if self.route_length_l_km < 0:
-            raise ValueError(f"route_length_l_km must be >= 0, got {self.route_length_l_km}")
+        if not 0 <= self.route_length_l_km < math.inf:
+            raise ValueError(
+                f"route_length_l_km must be >= 0 and finite, got {self.route_length_l_km}")
 
 
 class InvalidObservation(ValueError):

@@ -13,7 +13,7 @@ UDP echo needs a cooperating reflector, see `deltaprobe.reflector`.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 import os
 import select
 import socket
@@ -55,7 +55,8 @@ DEFAULT_UDP_PORT = 7777
 
 @dataclass(frozen=True)
 class ProbeSample:
-    """One probe observation; `lost` is true exactly when `rtt_s` is absent."""
+    """One probe observation as a plain row, checked where it enters a batch;
+    `lost` is true exactly when `rtt_s` is absent."""
 
     path_id: str
     seq: int
@@ -66,23 +67,9 @@ class ProbeSample:
     lost: bool
     method: str
 
-    def __post_init__(self):
-        if self.seq < 0:
-            raise ValueError(f"seq must be nonnegative, got {self.seq}")
-        if self.payload_bytes <= 0:
-            raise ValueError(f"payload_bytes must be positive, got {self.payload_bytes}")
-        if self.wire_bits < 8 * self.payload_bytes:
-            raise ValueError(
-                f"wire_bits ({self.wire_bits}) smaller than payload "
-                f"({self.payload_bytes} bytes)"
-            )
-        if self.lost != (self.rtt_s is None):
-            raise ValueError("lost flag must match absence of rtt_s")
-        if self.rtt_s is not None and not 0 < self.rtt_s < math.inf:
-            raise ValueError(f"rtt_s must be positive and finite, got {self.rtt_s}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
 
+# ProbeSample's fields in order, the order SampleBatch.from_rows takes them in
+SAMPLE_FIELDS = tuple(ProbeSample.__dataclass_fields__)
 
 _INT_TYPES = (int, np.integer)
 _FLOAT_TYPES = (int, float, np.integer, np.floating, type(None))
@@ -120,8 +107,10 @@ def read_only_column(values, dtype, name: str) -> np.ndarray:
 
 
 def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    """InvalidSample naming the first row where `ok` is False. `ok` lines up
+    with the last rows of `values`, so a rule on pairs names the later row."""
     if not ok.all():
-        index = int(ok.argmin())  # the first False
+        index = len(values) - len(ok) + int(ok.argmin())
         raise InvalidSample(index, f"{message}, got {values[index]}")
 
 
@@ -131,9 +120,8 @@ class SampleBatch(Sequence):
     `seq`, `payload_bytes`, `wire_bits` and `sent_at_us` are int64 arrays and
     `rtt_s` is a float64 array with NaN for a lost probe; `path_id` and
     `method` hold for every sample. The constructor copies the columns,
-    makes them read-only and checks every ProbeSample rule at once, plus
-    finite RTTs; a failed check raises InvalidSample naming the first bad
-    row.
+    makes them read-only and checks every sample rule at once, seq order
+    included; a failed check raises InvalidSample naming the first bad row.
 
     The batch is also a read-only sequence of ProbeSample rows: `len`,
     indexing and iteration give rows (rtt_s None when lost), a slice gives
@@ -155,6 +143,7 @@ class SampleBatch(Sequence):
         if len({len(getattr(self, name)) for name in _COLUMNS}) > 1:
             raise ValueError("sample columns differ in length")
         _require(self.seq >= 0, "seq must be nonnegative", self.seq)
+        _require(self.seq[1:] >= self.seq[:-1], "samples must be ordered by seq", self.seq)
         _require(self.payload_bytes > 0, "payload_bytes must be positive", self.payload_bytes)
         # floor division cannot overflow where 8 * payload_bytes could
         _require(self.wire_bits // 8 >= self.payload_bytes,
@@ -165,23 +154,35 @@ class SampleBatch(Sequence):
 
     @classmethod
     def from_samples(cls, samples) -> "SampleBatch":
-        """The batch itself, or a batch of a sequence of ProbeSample rows,
-        which must share one path_id and method."""
+        """The batch itself, or a checked batch of a sequence of ProbeSample rows."""
         if isinstance(samples, cls):
             return samples
-        rows = list(samples)
+        return cls.from_rows(list(map(operator.attrgetter(*SAMPLE_FIELDS), samples)))
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "SampleBatch":
+        """A batch of rows given as tuples in SAMPLE_FIELDS order, checked by
+        every batch rule and the two that only rows have: one path_id and
+        method, and `lost` the bool True exactly when rtt_s is None."""
         if not rows:
             return cls("", METHOD_IMPORTED, (), (), (), (), ())
-        ids = {(s.path_id, s.method) for s in rows}
-        if len(ids) > 1:
-            raise ValueError(f"samples mix path ids or methods: {ids}")
-        (path_id, method), = ids
-        return cls(path_id, method, *([getattr(s, name) for s in rows] for name in _COLUMNS))
+        path_ids, seqs, payload, wire, sent, rtts, losts, methods = zip(*rows)
+        batch = cls(path_ids[0], methods[0], seqs, payload, wire, sent, rtts)
+        for name, values in (("path_id", path_ids), ("method", methods)):
+            if values.count(values[0]) != len(values):
+                i = next(i for i, v in enumerate(values) if v != values[0])
+                raise InvalidSample(i, f"{name} {values[i]!r} differs "
+                                       f"from the first sample's {values[0]!r}")
+        matches = list(map(operator.is_, losts, batch.lost.tolist()))
+        if not all(matches):
+            raise InvalidSample(matches.index(False),
+                                "lost must be true exactly when rtt_s is null")
+        return batch
 
     @classmethod
     def concat(cls, batches: Sequence["SampleBatch"]) -> "SampleBatch":
-        """The samples of several batches of one path_id and method, in order,
-        joined without checking their rows again; a lone batch as it is."""
+        """The samples of several batches of one path_id and method, each in seq
+        order after the one before, joined unchecked; a lone batch as it is."""
         ids = {(b.path_id, b.method) for b in batches}
         if len(ids) != 1:
             raise ValueError(f"batches mix path ids or methods: {ids}")

@@ -68,7 +68,7 @@ def summarize(samples: Samples) -> DelaySummary:
     ordered = np.sort(delays)
     k = int(TRIM_FRACTION * m)
     total, scale = _scaled_sum(np.add.reduce, delays)
-    step_total, step_scale = _scaled_sum(np.add.reduce, np.abs(np.diff(delays)))
+    step_total, step_scale = _scaled_sum(np.add.reduce, np.abs(delays[1:] - delays[:-1]))
     return DelaySummary(
         n_total=n_total,
         n_lost=n_lost,
@@ -100,7 +100,7 @@ def jitter_series(
         )
     # window sums of |delta| as differences of one running sum; its terms are
     # nonnegative, so a window of equal delays sums to exactly zero
-    running, scale = _scaled_sum(np.add.accumulate, np.abs(np.diff(delays)))
+    running, scale = _scaled_sum(np.add.accumulate, np.abs(delays[1:] - delays[:-1]))
     running = np.concatenate(([0.0], running))
     jitter = (running[window - 1:] - running[:len(running) - window + 1]) / (window - 1) * scale
     return list(zip(batch.sent_at_us[alive][window - 1:].tolist(), jitter.tolist()))

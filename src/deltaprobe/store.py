@@ -17,14 +17,14 @@ import logging
 import operator
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import CorruptLine, EmptyFile, InvalidSample, MissingColumn, SchemaMismatch
 from .intercept import InvalidObservation, Observations, PathFeatures
-from .probe import METHOD_IMPORTED, ProbePlan, ProbeSample, SampleBatch, Samples
+from .probe import METHOD_IMPORTED, SAMPLE_FIELDS, ProbePlan, SampleBatch, Samples
 from .simulator import Hop, SimPath
 
 logger = logging.getLogger(__name__)
@@ -41,8 +41,7 @@ CANONICAL_CSV_MAPPING = {
     "lost": "lost",
 }
 
-_SAMPLE_FIELDS = tuple(f.name for f in fields(ProbeSample))
-_sample_fields_of = operator.itemgetter(*_SAMPLE_FIELDS)
+_sample_fields_of = operator.itemgetter(*SAMPLE_FIELDS)
 _TRUTHY = {"1", "true", "yes", "y", "lost"}
 
 # Sample lines written or parsed at a time: a session is never held whole
@@ -59,7 +58,7 @@ class SessionRecord:
     """One measurement session: metadata plus its samples in seq order.
 
     `samples` may be given as a SampleBatch or a sequence of ProbeSample
-    rows; it is held as a SampleBatch.
+    rows, checked as they enter a batch; it is held as a SampleBatch.
     """
 
     session_id: str
@@ -72,9 +71,6 @@ class SessionRecord:
 
     def __post_init__(self):
         self.samples = SampleBatch.from_samples(self.samples)
-        unordered = np.diff(self.samples.seq) < 0
-        if unordered.any():
-            raise InvalidSample(int(unordered.argmax()) + 1, "samples must be ordered by seq")
 
 
 def record_dict(record) -> dict:
@@ -224,9 +220,9 @@ def _bulk_chunk(chunk: list[bytes], ids: Optional[tuple[str, str]]) -> Optional[
     return (*chunk_ids, *ints.reshape(4, len(matches)), rtt_s)
 
 
-def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], list[tuple], np.ndarray]:
+def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], list[tuple], range | list]:
     """The sample objects of consecutive lines, their known fields as tuples
-    in _SAMPLE_FIELDS order, and their line numbers. One json.loads call
+    in SAMPLE_FIELDS order, and their line numbers. One json.loads call
     parses the whole chunk; on any failure the chunk is parsed again line by
     line, which skips blank lines and names the first bad line."""
     try:
@@ -234,7 +230,7 @@ def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], li
         # value can run on from one line into the next
         objs = json.loads((b"[" + b",".join(lines) + b"]").decode("utf-8"))
         if len(objs) == len(lines):
-            return objs, list(map(_sample_fields_of, objs)), np.arange(
+            return objs, list(map(_sample_fields_of, objs)), range(
                 first_line_no, first_line_no + len(lines))
     except (ValueError, KeyError, TypeError):
         pass
@@ -250,63 +246,53 @@ def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], li
             raise CorruptLine(line_no, f"bad sample: missing field {exc}") from exc
         objs.append(obj)
         line_nos.append(line_no)
-    return objs, rows, np.array(line_nos, dtype=np.int64)
+    return objs, rows, line_nos
 
 
-def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict], np.ndarray]:
+def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
     """The samples of the sample lines (bytes, line 2 onwards) in `lines`,
-    read and checked a chunk at a time; also the unknown fields of each
-    sample that has any, keyed by seq, and the line number of each sample.
-    A chunk of canonical lines of the file's path_id and method is parsed
-    in bulk; any other chunk goes through json.loads."""
-    batches, line_nos = [], []
+    read and checked a chunk at a time, and the unknown fields of each
+    sample that has any, keyed by seq. A chunk of canonical lines of the
+    file's path_id and method is parsed in bulk, any other chunk through
+    json.loads; each must keep the ids and seq order of the one before."""
+    batches: list[SampleBatch] = []
     sample_extras: dict[int, dict] = {}
     first_line_no = 2
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        columns = _bulk_chunk(chunk, (path_id, method) if batches else None)
-        if columns is not None:
-            path_id, method = columns[:2]
-            chunk_line_nos = np.arange(first_line_no, first_line_no + len(chunk))
-            first_line_no += len(chunk)
-            try:
-                batches.append(SampleBatch(*columns))
-            except InvalidSample as exc:
-                raise CorruptLine(int(chunk_line_nos[exc.index]), f"bad sample: {exc}") from exc
-            line_nos.append(chunk_line_nos)
-            continue
-        # split as a text-mode file would, so a line number is the same
-        # whatever the line endings
-        chunk = b"".join(chunk).splitlines(keepends=True)
-        objs, rows, chunk_line_nos = _parse_chunk(chunk, first_line_no)
+        previous = batches[-1] if batches else None
+        ids = None if previous is None else (previous.path_id, previous.method)
+        columns = _bulk_chunk(chunk, ids)
+        if columns is None:
+            # split as a text-mode file would, so a line number is the same
+            # whatever the line endings
+            chunk = b"".join(chunk).splitlines(keepends=True)
+            objs, rows, line_nos = _parse_chunk(chunk, first_line_no)
+        else:
+            objs, line_nos = (), range(first_line_no, first_line_no + len(chunk))
         first_line_no += len(chunk)
-        if not rows:
+        if not line_nos:
             continue
-        path_ids, seqs, payload, wire, sent, rtts, losts, methods = zip(*rows)
-        if not batches:
-            path_id, method = path_ids[0], methods[0]
         try:
-            batches.append(SampleBatch(path_id, method, seqs, payload, wire, sent, rtts))
-            matches = [lost is (rtt is None) for lost, rtt in zip(losts, rtts)]
-            if not all(matches):
-                raise InvalidSample(matches.index(False),
-                                    "lost must be true exactly when rtt_s is null")
+            batch = SampleBatch.from_rows(rows) if columns is None else SampleBatch(*columns)
+            if previous is not None:
+                for name, want in zip(("path_id", "method"), ids):
+                    if getattr(batch, name) != want:
+                        raise InvalidSample(0, f"{name} {getattr(batch, name)!r} differs "
+                                               f"from the first sample's {want!r}")
+                if batch.seq[0] < previous.seq[-1]:
+                    raise InvalidSample(0, f"samples must be ordered by seq, got {batch.seq[0]}")
         except InvalidSample as exc:
-            raise CorruptLine(int(chunk_line_nos[exc.index]), f"bad sample: {exc}") from exc
-        for name, values, want in (("path_id", path_ids, path_id), ("method", methods, method)):
-            if values.count(want) != len(values):
-                i = next(i for i, v in enumerate(values) if v != want)
-                raise CorruptLine(int(chunk_line_nos[i]), f"{name} {values[i]!r} differs "
-                                                          f"from the first sample's {want!r}")
-        if sum(map(len, objs)) != len(_SAMPLE_FIELDS) * len(objs):
+            raise CorruptLine(line_nos[exc.index], f"bad sample: {exc}") from exc
+        batches.append(batch)
+        if sum(map(len, objs)) != len(SAMPLE_FIELDS) * len(objs):
             for obj in objs:
-                if len(obj) > len(_SAMPLE_FIELDS):
+                if len(obj) > len(SAMPLE_FIELDS):
                     sample_extras[obj["seq"]] = {
-                        k: v for k, v in obj.items() if k not in _SAMPLE_FIELDS
+                        k: v for k, v in obj.items() if k not in SAMPLE_FIELDS
                     }
-        line_nos.append(chunk_line_nos)
     if not batches:
-        return SampleBatch.from_samples(()), sample_extras, np.zeros(0, dtype=np.int64)
-    return SampleBatch.concat(batches), sample_extras, np.concatenate(line_nos)
+        return SampleBatch.from_rows(()), sample_extras
+    return SampleBatch.concat(batches), sample_extras
 
 
 def load_session(path) -> SessionRecord:
@@ -334,19 +320,16 @@ def load_session(path) -> SessionRecord:
             features = PathFeatures(**features_obj) if features_obj else None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptLine(1, f"bad metadata: {exc}") from exc
-        samples, sample_extras, line_nos = _load_samples(itertools.chain(rest, fh))
-    try:
-        return SessionRecord(
-            session_id=session_id,
-            created_at=created_at,
-            plan=plan,
-            samples=samples,
-            features=features,
-            extra=meta,
-            sample_extras=sample_extras,
-        )
-    except InvalidSample as exc:
-        raise CorruptLine(int(line_nos[exc.index]), f"bad sample: {exc}") from exc
+        samples, sample_extras = _load_samples(itertools.chain(rest, fh))
+    return SessionRecord(
+        session_id=session_id,
+        created_at=created_at,
+        plan=plan,
+        samples=samples,
+        features=features,
+        extra=meta,
+        sample_extras=sample_extras,
+    )
 
 
 @contextlib.contextmanager

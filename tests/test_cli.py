@@ -490,6 +490,26 @@ def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, setting, needle
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--hop-count", "0"], "hop_count_n must be >= 1, got 0"),
+    (["--hop-count", "5", "--route-km", "-1"], "route_length_l_km must be >= 0 and finite, got -1.0"),
+    (["--hop-count", "5", "--route-km", "nan"], "route_length_l_km must be >= 0 and finite, got nan"),
+    (["--hop-count", "5", "--route-km", "inf"], "route_length_l_km must be >= 0 and finite, got inf"),
+], ids=["hop count 0", "negative route", "nan route", "infinite route"])
+def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeypatch, flags, needle):
+    def no_session(plan, **kwargs):
+        raise AssertionError(f"a session was sent to {plan.target}")
+
+    monkeypatch.setattr(probe, "run_session", no_session)
+    out_file = tmp_path / "s.jsonl"
+    argv = ["probe", "127.0.0.1", "--method", "udp_echo", "--output", str(out_file), *flags]
+    assert main(argv) == 64
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"deltaprobe: usage error: --hop-count or --route-km: {needle}" in err
+    assert not out_file.exists()
+
+
 def test_usage_error_then_valid_command_in_one_process(adsl_csv, capsys):
     assert main(["frobnicate"]) == 64
     assert main(["estimate"]) == 64
@@ -543,10 +563,27 @@ def test_stats_session_with_infinite_rtt_exits_65(sim_session, capsys):
 def test_session_with_invalid_features_exits_65(sim_session, capsys):
     lines = sim_session.read_text().splitlines()
     meta = json.loads(lines[0])
-    meta["features"] = {"path_id": "x", "hop_count_n": 0, "route_length_l_km": 10.0}
-    sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
-    assert main(["stats", str(sim_session)]) == 65
-    assert "CorruptLine: line 1" in capsys.readouterr().err
+    # json.dumps writes the non-finite route lengths as NaN and Infinity
+    for hops, km in ((0, 10.0), (1, float("nan")), (1, float("inf"))):
+        meta["features"] = {"path_id": "x", "hop_count_n": hops, "route_length_l_km": km}
+        sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        assert main(["stats", str(sim_session)]) == 65
+        assert "CorruptLine: line 1: bad metadata" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "estimate"])
+def test_session_with_nan_rtt_not_lost_exits_65(sim_session, capsys, command):
+    lines = sim_session.read_text().splitlines()
+    sample = json.loads(lines[3])
+    assert sample["lost"] is False
+    sample["rtt_s"] = float("nan")
+    lines[3] = json.dumps(sample)  # written as the non-standard literal NaN
+    sim_session.write_text("\n".join(lines) + "\n")
+    assert main([command, "--json", str(sim_session)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("line 4: bad sample: sample 2: lost must be true exactly when rtt_s is null"
+            in captured.err)
 
 
 def test_invalid_utf8_exits_65_naming_the_line(sim_session, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 import socket
 import threading
 
@@ -85,19 +87,23 @@ def test_wire_size_rejects_negative_and_unknown():
 # domain invariants
 # ---------------------------------------------------------------------------
 
-def test_sample_lost_iff_no_rtt():
-    with pytest.raises(ValueError):
-        ProbeSample(path_id="p", seq=0, payload_bytes=100, wire_bits=1024,
-                    sent_at_us=0, rtt_s=None, lost=False, method="icmp_echo")
-    with pytest.raises(ValueError):
-        ProbeSample(path_id="p", seq=0, payload_bytes=100, wire_bits=1024,
-                    sent_at_us=0, rtt_s=0.01, lost=True, method="icmp_echo")
-
-
-def test_sample_wire_at_least_payload():
-    with pytest.raises(ValueError):
-        ProbeSample(path_id="p", seq=0, payload_bytes=200, wire_bits=1024,
-                    sent_at_us=0, rtt_s=0.01, lost=False, method="icmp_echo")
+@pytest.mark.parametrize("row, fields, message", [
+    (1, {"rtt_s": 0.01, "lost": True}, "lost must be true exactly when rtt_s is null"),
+    (1, {"rtt_s": None, "lost": False}, "lost must be true exactly when rtt_s is null"),
+    (1, {"rtt_s": math.nan, "lost": False}, "lost must be true exactly when rtt_s is null"),
+    (1, {"rtt_s": None, "lost": 1}, "lost must be true exactly when rtt_s is null"),
+    (1, {"payload_bytes": 200, "wire_bits": 1024}, "wire_bits smaller than 8 * payload_bytes"),
+    (1, {"rtt_s": math.inf, "lost": False}, "rtt_s must be positive and finite"),
+    (2, {"path_id": "q"}, "path_id 'q' differs from the first sample's 'p'"),
+], ids=["lost with an rtt", "no rtt but not lost", "nan rtt but not lost", "lost is 1",
+        "wire below payload", "infinite rtt", "second path_id"])
+def test_rows_are_checked_where_they_enter_a_batch(row, fields, message):
+    # a row is a plain record; the batch it enters checks it and names it
+    rows = _rows()
+    rows[row] = dataclasses.replace(rows[row], **fields)
+    with pytest.raises(InvalidSample, match=re.escape(message)) as excinfo:
+        SampleBatch.from_samples(rows)
+    assert excinfo.value.index == row
 
 
 def test_plan_rejects_duplicate_sizes():
@@ -278,6 +284,7 @@ def test_batch_columns_are_read_only():
     ("rtt_s", [0.018, None, "0.019"], 2),
     ("sent_at_us", [0, True, 2000], 1),
     ("seq", [0, 1, 2**64], 2),
+    ("seq", [0, 2, 1], 2),
 ])
 def test_batch_rejects_bad_rows_by_index(column, value, row):
     good = SampleBatch.from_samples(_rows())
@@ -324,12 +331,6 @@ def test_concat_of_checked_parts_equals_a_fresh_batch():
     for other in (_batch("q", "udp_echo", [40], rng), _batch("p", "icmp_echo", [40], rng)):
         with pytest.raises(ValueError, match="mix path ids or methods"):
             SampleBatch.concat([*parts, other])
-
-
-def test_sample_rejects_nonfinite_rtt():
-    with pytest.raises(ValueError):
-        ProbeSample(path_id="p", seq=0, payload_bytes=100, wire_bits=1024,
-                    sent_at_us=0, rtt_s=math.inf, lost=False, method="icmp_echo")
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,25 @@ def test_load_checks_each_chunk_once_and_concat_never(tmp_path, monkeypatch, spa
     assert record.samples.seq.tolist() == list(range(10))
 
 
+@pytest.mark.parametrize("spacing", [False, True], ids=["bulk", "json"])
+@pytest.mark.parametrize("old, new, message", [
+    ('"seq":4,', '"seq":0,', "samples must be ordered by seq, got 0"),
+    ('"path_id":"test"', '"path_id":"other"', "path_id 'other' differs from the first sample's 'test'"),
+], ids=["seq steps back", "second path_id"])
+def test_load_checks_each_chunk_boundary(tmp_path, monkeypatch, spacing, old, new, message):
+    # chunks of 4 sample lines: lines 2-5, 6-9 and 10-11; the second chunk
+    # is consistent in itself, and only its seam with the first is bad
+    path, lines = _long_session(tmp_path, n=10)
+    lines[5:9] = [line.replace(old, new) for line in lines[5:9]]
+    if spacing:  # lines the bulk parser does not take
+        lines = [line.replace('"lost":', '"lost": ') for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    with pytest.raises(CorruptLine, match=f"bad sample: sample 0: {message}") as excinfo:
+        load_session(path)
+    assert excinfo.value.line_number == 6
+
+
 def test_record_dict_is_asdict_without_the_deep_copy():
     records = [
         BandwidthEstimate(341e3, -0.002, "regression", 1e-4, ("negative intercept", "other")),
