@@ -159,7 +159,10 @@ def cmd_probe(args, cfg: CliConfig) -> None:
 
     # checked before the session is sent: a refused flag costs no session
     features = None
-    if args.hop_count is not None or args.discover_hops:
+    wants_features = args.hop_count is not None or args.discover_hops
+    if args.route_km is not None and not wants_features:
+        raise errors.UsageError("--route-km needs --hop-count or --discover-hops")
+    if wants_features:
         hop_count = args.hop_count
         if hop_count is None:
             hop_count = probe.discover_hops(plan.target)
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discover-hops", action="store_true",
                    help="discover the hop count by TTL probing")
     p.add_argument("--route-km", type=float, metavar="KM",
-                   help="attach the route length in kilometers")
+                   help="attach the route length in kilometers (needs a hop count)")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("estimate", parents=[common],

@@ -77,7 +77,7 @@ class DelayProfile:
             object.__setattr__(self, name, read_only_column(getattr(self, name), dtype, name))
         sizes, delays, counts = self.sizes_bits, self.min_delay_s, self.counts
         if not (sizes.size and sizes.shape == delays.shape == counts.shape
-                and (sizes > 0).all() and (np.diff(sizes) > 0).all()
+                and (sizes > 0).all() and (sizes[1:] > sizes[:-1]).all()
                 and (delays > 0).all() and (counts >= 1).all()):
             raise ValueError("profile needs nonempty columns of one length, sizes positive, "
                              f"distinct and sorted, delays and counts positive: {self}")
@@ -144,19 +144,25 @@ def min_delay_profile(
     if min_samples_per_size < 1:
         raise ValueError("min_samples_per_size must be >= 1")
 
+    # one sort by size, then each group runs from one bound to the next
     alive = ~batch.lost
-    sizes, group, counts = np.unique(
-        batch.wire_bits[alive], return_inverse=True, return_counts=True
-    )
-    minima = np.full(len(sizes), np.inf)
-    np.minimum.at(minima, group, batch.rtt_s[alive])
+    wire = batch.wire_bits[alive]
+    order = wire.argsort()
+    wire = wire[order]
+    edges = np.ones(len(wire) + 1, dtype=bool)
+    np.not_equal(wire[1:], wire[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
 
     kept = counts >= min_samples_per_size
-    if not kept.any():
+    if not kept.any():  # an all-lost batch has no starts and stops here
         raise NoUsableSizes(
             f"no size has >= {min_samples_per_size} non-lost samples "
-            f"({len(sizes)} sizes seen)"
+            f"({len(starts)} sizes seen)"
         )
+    sizes = wire[starts]
+    minima = np.minimum.reduceat(batch.rtt_s[alive][order], starts)
     return DelayProfile(
         path_id=batch.path_id,
         sizes_bits=sizes[kept],

@@ -181,13 +181,17 @@ class SampleBatch(Sequence):
 
     @classmethod
     def concat(cls, batches: Sequence["SampleBatch"]) -> "SampleBatch":
-        """The samples of several batches of one path_id and method, each in seq
-        order after the one before, joined unchecked; a lone batch as it is."""
+        """The samples of several batches of one path_id and method joined,
+        with only each seam checked (`check_seam`, naming the joined row); a
+        lone batch as it is."""
         ids = {(b.path_id, b.method) for b in batches}
         if len(ids) != 1:
             raise ValueError(f"batches mix path ids or methods: {ids}")
         if len(batches) == 1:
             return batches[0]
+        parts = [b for b in batches if len(b)]
+        for previous, batch, index in zip(parts, parts[1:], itertools.accumulate(map(len, parts))):
+            check_seam(previous, batch, index)
         return cls._unchecked(*ids.pop(), [np.concatenate([getattr(b, name) for b in batches])
                                            for name in _COLUMNS])
 
@@ -238,6 +242,19 @@ class SampleBatch(Sequence):
     def __repr__(self) -> str:
         return (f"SampleBatch(path_id={self.path_id!r}, method={self.method!r}, "
                 f"n={len(self)}, lost={int(self.lost.sum())})")
+
+
+def check_seam(previous: SampleBatch, batch: SampleBatch, index: int = 0) -> None:
+    """InvalidSample naming row `index` unless the nonempty `batch` may follow
+    `previous` in one session: the same path_id and method, and its first seq
+    not below the last of `previous`."""
+    for name in ("path_id", "method"):
+        value, want = getattr(batch, name), getattr(previous, name)
+        if value != want:
+            raise InvalidSample(index, f"{name} {value!r} differs "
+                                       f"from the first sample's {want!r}")
+    if batch.seq[0] < previous.seq[-1]:
+        raise InvalidSample(index, f"samples must be ordered by seq, got {batch.seq[0]}")
 
 
 # What library entry points take as samples; each converts once, with

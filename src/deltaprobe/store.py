@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CorruptLine, EmptyFile, InvalidSample, MissingColumn, SchemaMismatch
 from .intercept import InvalidObservation, Observations, PathFeatures
-from .probe import METHOD_IMPORTED, SAMPLE_FIELDS, ProbePlan, SampleBatch, Samples
+from .probe import METHOD_IMPORTED, SAMPLE_FIELDS, ProbePlan, SampleBatch, Samples, check_seam
 from .simulator import Hop, SimPath
 
 logger = logging.getLogger(__name__)
@@ -135,13 +135,16 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
     rtt_text = list(map(repr, samples.rtt_s.tolist()))
     for i in np.flatnonzero(samples.lost).tolist():
         lost_text[i], rtt_text[i] = "true", "null"
+    seqs = samples.seq.tolist()
     lines = list(map(template.__mod__, zip(
         lost_text, samples.payload_bytes.tolist(), rtt_text,
-        samples.sent_at_us.tolist(), samples.seq.tolist(), samples.wire_bits.tolist(),
+        samples.sent_at_us.tolist(), seqs, samples.wire_bits.tolist(),
     )))
-    for seq, extra in sample_extras.items():
-        for i in np.flatnonzero(samples.seq == seq).tolist():
-            lines[i] = dump_line({**record_dict(samples[i]), **extra}) + "\n"
+    if sample_extras:  # one lookup per row keeps the save linear in the extras
+        for i, seq in enumerate(seqs):
+            extra = sample_extras.get(seq)
+            if extra is not None:
+                lines[i] = dump_line({**record_dict(samples[i]), **extra}) + "\n"
     return "".join(lines)
 
 
@@ -275,12 +278,7 @@ def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
         try:
             batch = SampleBatch.from_rows(rows) if columns is None else SampleBatch(*columns)
             if previous is not None:
-                for name, want in zip(("path_id", "method"), ids):
-                    if getattr(batch, name) != want:
-                        raise InvalidSample(0, f"{name} {getattr(batch, name)!r} differs "
-                                               f"from the first sample's {want!r}")
-                if batch.seq[0] < previous.seq[-1]:
-                    raise InvalidSample(0, f"samples must be ordered by seq, got {batch.seq[0]}")
+                check_seam(previous, batch)
         except InvalidSample as exc:
             raise CorruptLine(line_nos[exc.index], f"bad sample: {exc}") from exc
         batches.append(batch)

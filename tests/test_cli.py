@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import deltaprobe
+from conftest import make_sample
 from deltaprobe import probe
 from deltaprobe.cli import format_bitrate, main
 from deltaprobe.reflector import serve
@@ -299,6 +300,18 @@ def test_estimate_empty_session_exits_3(tmp_path, capsys):
     assert "NoSamples" in capsys.readouterr().err
 
 
+def test_estimate_all_lost_session_exits_3(tmp_path, capsys):
+    samples = [make_sample(800 if k % 2 else 8992, None, seq=k) for k in range(6)]
+    path = tmp_path / "lost.jsonl"
+    record = SessionRecord(session_id="lost", created_at="t", plan=None, samples=samples)
+    save_session(record, path)
+    assert main(["estimate", "--min-samples", "1", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("deltaprobe: NoUsableSizes: no size has >= 1 non-lost samples "
+                          "(0 sizes seen)")
+
+
 # ---------------------------------------------------------------------------
 # probe (live loopback)
 # ---------------------------------------------------------------------------
@@ -490,12 +503,19 @@ def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, setting, needle
     assert not (tmp_path / "s.jsonl").exists()
 
 
+_FEATURE_FLAGS = "--hop-count or --route-km: "
+
+
 @pytest.mark.parametrize("flags, needle", [
-    (["--hop-count", "0"], "hop_count_n must be >= 1, got 0"),
-    (["--hop-count", "5", "--route-km", "-1"], "route_length_l_km must be >= 0 and finite, got -1.0"),
-    (["--hop-count", "5", "--route-km", "nan"], "route_length_l_km must be >= 0 and finite, got nan"),
-    (["--hop-count", "5", "--route-km", "inf"], "route_length_l_km must be >= 0 and finite, got inf"),
-], ids=["hop count 0", "negative route", "nan route", "infinite route"])
+    (["--hop-count", "0"], _FEATURE_FLAGS + "hop_count_n must be >= 1, got 0"),
+    (["--hop-count", "5", "--route-km", "-1"],
+     _FEATURE_FLAGS + "route_length_l_km must be >= 0 and finite, got -1.0"),
+    (["--hop-count", "5", "--route-km", "nan"],
+     _FEATURE_FLAGS + "route_length_l_km must be >= 0 and finite, got nan"),
+    (["--hop-count", "5", "--route-km", "inf"],
+     _FEATURE_FLAGS + "route_length_l_km must be >= 0 and finite, got inf"),
+    (["--route-km", "1000"], "--route-km needs --hop-count or --discover-hops"),
+], ids=["hop count 0", "negative route", "nan route", "infinite route", "route without hops"])
 def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeypatch, flags, needle):
     def no_session(plan, **kwargs):
         raise AssertionError(f"a session was sent to {plan.target}")
@@ -506,7 +526,7 @@ def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeyp
     assert main(argv) == 64
     out, err = capfd.readouterr()
     assert out == "" and "Traceback" not in err
-    assert f"deltaprobe: usage error: --hop-count or --route-km: {needle}" in err
+    assert f"deltaprobe: usage error: {needle}\n" in err
     assert not out_file.exists()
 
 

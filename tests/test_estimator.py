@@ -16,6 +16,7 @@ from deltaprobe.estimator import (
     BandwidthEstimate,
     DelayProfile,
     SizeDelayPoint,
+    estimate_bandwidth,
     estimate_from_intercept,
     estimate_intercept,
     estimate_pairwise,
@@ -117,6 +118,55 @@ def test_min_delay_no_usable_sizes():
 def test_min_delay_empty_input_rejected():
     with pytest.raises(ValueError):
         min_delay_profile([], min_samples_per_size=1)
+
+
+def _loop_profile(samples, min_samples_per_size):
+    """Per-size minima, counts and dropped sizes by a plain loop over rows."""
+    by_size = {}
+    for s in samples:
+        if not s.lost:
+            by_size.setdefault(s.wire_bits, []).append(s.rtt_s)
+    sizes = sorted(by_size)
+    kept = [w for w in sizes if len(by_size[w]) >= min_samples_per_size]
+    return (kept, [min(by_size[w]) for w in kept], [len(by_size[w]) for w in kept],
+            tuple(w for w in sizes if w not in kept))
+
+
+@pytest.mark.parametrize("n_sizes", [1, 2, 5, 300])
+def test_min_delay_profile_matches_the_loop_reference(n_sizes):
+    rng = np.random.default_rng(17 + n_sizes)
+    for trial in range(40):
+        sizes = rng.choice(np.arange(64, 80000, 8), n_sizes, replace=False)
+        n = int(rng.integers(1, 4 * n_sizes + 60))
+        wire = rng.choice(sizes, n)  # random order, some sizes thin or absent
+        loss = rng.choice([0.0, 0.3, 0.9])
+        samples = [make_sample(int(w), None if rng.random() < loss else
+                               float(rng.uniform(1e-6, 2.0)) * 10.0 ** int(rng.integers(-4, 2)),
+                               seq=k)
+                   for k, w in enumerate(wire)]
+        if trial % 4 == 0:  # one size entirely lost
+            samples = [make_sample(s.wire_bits, None, seq=s.seq) if s.wire_bits == wire[0] else s
+                       for s in samples]
+        for min_samples in range(1, 6):
+            sizes_ref, minima_ref, counts_ref, dropped_ref = _loop_profile(samples, min_samples)
+            if not sizes_ref:
+                with pytest.raises(NoUsableSizes):
+                    min_delay_profile(samples, min_samples)
+                continue
+            profile = min_delay_profile(samples, min_samples)
+            assert profile.sizes_bits.dtype == profile.counts.dtype == np.int64
+            assert profile.min_delay_s.dtype == np.float64
+            assert profile.sizes_bits.tolist() == sizes_ref
+            assert np.array_equal(profile.min_delay_s, np.array(minima_ref))
+            assert profile.counts.tolist() == counts_ref
+            assert profile.dropped_sizes == dropped_ref
+
+
+def test_all_lost_batch_has_no_usable_sizes():
+    samples = [make_sample(800 if k % 2 else 8992, None, seq=k) for k in range(6)]
+    for call in (min_delay_profile, estimate_bandwidth):
+        with pytest.raises(NoUsableSizes, match=r"\(0 sizes seen\)"):
+            call(samples, 1)
 
 
 def test_min_delay_approaches_fixed_delay_under_one_sided_noise():

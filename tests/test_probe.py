@@ -333,6 +333,18 @@ def test_concat_of_checked_parts_equals_a_fresh_batch():
             SampleBatch.concat([*parts, other])
 
 
+def test_concat_checks_seq_order_at_each_seam():
+    rng = np.random.default_rng(13)
+    with pytest.raises(InvalidSample, match="sample 1: samples must be ordered by seq, got 0"):
+        SampleBatch.concat([_batch("p", "udp_echo", [5], rng), _batch("p", "udp_echo", [0], rng)])
+    # the row named is the first of the part out of order, counted in the joined batch
+    parts = [_batch("p", "udp_echo", seq, rng) for seq in ([0, 1, 2], [], [2, 3], [1, 4])]
+    with pytest.raises(InvalidSample, match="sample 5: samples must be ordered by seq, got 1"):
+        SampleBatch.concat(parts)
+    parts[3] = _batch("p", "udp_echo", [3, 4], rng)
+    assert SampleBatch.concat(parts).seq.tolist() == [0, 1, 2, 2, 3, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # echo loop timestamps, on a fake transport and clock
 # ---------------------------------------------------------------------------

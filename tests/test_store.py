@@ -275,9 +275,9 @@ def _reference_line(sample, extra=None):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def test_sample_lines_match_json_dumps(tmp_path):
+def test_sample_lines_match_json_dumps(tmp_path, monkeypatch):
     rng = np.random.default_rng(53)
-    for i, path_id in enumerate(['plain', 'quote " and % and \\', "höst-☃", ""]):
+    for i, path_id in enumerate(['plain', 'quote " and % and \\', "höst-☃", "", "extras everywhere"]):
         n = int(rng.integers(1, 200))
         rtts = [None if rng.random() < 0.2 else float(rng.uniform(1e-7, 3.0)) * 10.0 ** int(rng.integers(-3, 3))
                 for _ in range(n)]
@@ -285,6 +285,11 @@ def test_sample_lines_match_json_dumps(tmp_path):
                                sent_at_us=int(rng.integers(0, 2**62)), method="udp_echo")
                    for k, rtt in enumerate(rtts)]
         extras = {0: {"probe_color": "blue"}, n - 1: {"note": [1, 2.5, None]}}
+        if path_id == "extras everywhere":
+            # chunks of 7 lines, each line with its own extra, so every
+            # chunk seam has an extra on both sides
+            monkeypatch.setattr(store, "_CHUNK_LINES", 7)
+            extras = {k: {"hop": k % 3, "tag": f"t{k}"} for k in range(n)}
         record = SessionRecord(session_id=f"b{i}", created_at="t", plan=None,
                                samples=samples, sample_extras=extras)
         path = tmp_path / f"b{i}.jsonl"
