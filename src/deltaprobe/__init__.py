@@ -12,14 +12,12 @@ from .errors import *  # noqa: F403
 from .estimator import (
     BandwidthEstimate,
     DelayProfile,
-    LinearFit,
     SizeDelayPoint,
     estimate_bandwidth,
     estimate_from_intercept,
     estimate_intercept,
     estimate_pairwise,
     estimate_regression,
-    fit_linear,
     invert_slope,
     min_delay_profile,
 )

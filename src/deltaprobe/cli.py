@@ -44,9 +44,11 @@ def _setting(default, parse, ok, rule: str):
 class CliConfig:
     """Built-in defaults, overridable by a config file, then by flags."""
 
+    # 65535 bytes is the largest IPv4 packet
     sizes: tuple[int, ...] = _setting(
         probe.DEFAULT_SIZES, size_list,
-        lambda sizes: min(sizes) > 0 and len(set(sizes)) == len(sizes), "positive and distinct")
+        lambda sizes: 0 < min(sizes) <= max(sizes) <= 65535 and len(set(sizes)) == len(sizes),
+        "positive and distinct, each at most 65535 bytes")
     count: int = _setting(30, int, lambda n: n >= 1, "at least 1")
     gap: float = _setting(0.05, float, lambda s: 0 < s < math.inf, "positive and finite")
     timeout: float = _setting(2.0, float, lambda s: 0 < s < math.inf, "positive and finite")
@@ -72,12 +74,17 @@ def load_config_file(path) -> dict:
     checked as its CliConfig field says, and ConfigError names a bad line."""
     settings = {f.name: f for f in fields(CliConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        # split as a text-mode file splits, so the line numbers agree
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            where = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise errors.ConfigError(f"{where}: invalid UTF-8 at byte {exc.start}") from exc
             if not line:
                 continue
-            where = f"{path}:{line_no}"
             if "=" not in line:
                 raise errors.ConfigError(f"{where}: expected key=value, got {line!r}")
             key, _, text = (part.strip() for part in line.partition("="))
@@ -354,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", help="key=value config file")
     common.add_argument("--json", dest="format", action="store_const", const="json",
                         help="machine-readable output")
-    common.add_argument("--seed", type=int, metavar="U64", help="RNG seed override")
-    common.add_argument("--output", metavar="FILE", help="output file path")
+    # for the commands that write a file
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--output", metavar="FILE", help="output file path")
 
     parser = _Parser(
         prog="deltaprobe",
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("probe", parents=[common], help="probe a live target")
+    p = sub.add_parser("probe", parents=[writes], help="probe a live target")
     p.add_argument("target", help="host name or IPv4 address")
     p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
                    help="payload sizes in bytes (default 100,1124)")
@@ -395,22 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lost-column", default=None, metavar="COL")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[writes],
                        help="run the path simulator against ground truth")
     p.add_argument("path_config", help="path configuration JSON file")
     p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
                    help="wire sizes in bytes (default 100,1124)")
     p.add_argument("--count", type=int, metavar="N", help="probes per size (default 30)")
+    p.add_argument("--seed", type=int, metavar="U64", help="RNG seed override")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[writes],
                        help="fit the intercept model from observations")
     p.add_argument("observations", help="CSV with columns path_id,n,l_km,a_s")
     p.add_argument("--with-constant", action="store_true",
                    help="add an affine constant term (off by default)")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("stats", parents=[common], help="summarize a session")
+    p = sub.add_parser("stats", parents=[writes], help="summarize a session")
     p.add_argument("input", help="session .jsonl file")
     p.add_argument("--series", action="store_true", help="emit a jitter time series (CSV)")
     p.add_argument("--window", type=int, default=10, metavar="N",

@@ -93,7 +93,8 @@ class DelayProfile:
 
 @dataclass(frozen=True)
 class BandwidthEstimate:
-    """Estimated available bandwidth with the fixed-delay intercept."""
+    """Estimated available bandwidth with the fixed-delay intercept; every
+    number is finite (NonFiniteEstimate otherwise)."""
 
     b_av_bps: float
     intercept_s: float
@@ -102,30 +103,14 @@ class BandwidthEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.b_av_bps, self.intercept_s, self.residual_rms_s))):
+            raise NonFiniteEstimate(f"the estimate overflows float64: {self}")
         if not self.b_av_bps > 0:
             raise ValueError(f"b_av_bps must be positive, got {self.b_av_bps}")
         if self.residual_rms_s < 0:
             raise ValueError("residual_rms_s must be nonnegative")
         if self.method not in _ESTIMATE_METHODS:
             raise ValueError(f"unknown estimate method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    """Ordinary least-squares fit of delay against wire size."""
-
-    slope_s_per_bit: float
-    intercept_s: float
-    residual_rms_s: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.slope_s_per_bit > 0:
-            raise NonPositiveSlope(f"fitted slope {self.slope_s_per_bit} s/bit is not positive")
-        if self.residual_rms_s < 0:
-            raise ValueError("residual_rms_s must be nonnegative")
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
 
 
 def min_delay_profile(
@@ -244,42 +229,32 @@ def fit_line(sizes_bits: np.ndarray, delays_s: np.ndarray) -> tuple[np.ndarray, 
         return slope, intercept, np.sqrt((residuals ** 2).sum(axis=-1) / n)
 
 
-def fit_linear(profile: DelayProfile) -> LinearFit:
-    """`fit_line` of the profile's points; with exactly two points the fit is
-    exact and matches the pairwise solution. A positive slope is required
-    (NonPositiveSlope), then a finite fit (NonFiniteEstimate)."""
-    n = len(profile.sizes_bits)
-    if n < 2:
-        raise InsufficientPoints(f"need >= 2 profile points, got {n}")
-    slope, intercept, rms = map(float, fit_line(profile.sizes_bits, profile.min_delay_s))
-    fit = LinearFit(
-        slope_s_per_bit=slope,
-        intercept_s=intercept,
-        residual_rms_s=rms,
-        n_points=n,
-    )
-    if not all(map(math.isfinite, (slope, intercept, rms))):
-        raise NonFiniteEstimate(f"the fit overflows float64: {fit}")
-    return fit
-
-
 def invert_slope(slope_s_per_bit: float) -> float:
     """The fitted slope is the inverse of the available bandwidth."""
     if not slope_s_per_bit > 0:
-        raise NonPositiveSlope(f"slope must be positive, got {slope_s_per_bit}")
+        raise NonPositiveSlope(f"fitted slope {slope_s_per_bit} s/bit is not positive")
     return 1.0 / slope_s_per_bit
 
 
 def estimate_regression(profile: DelayProfile) -> BandwidthEstimate:
-    """Multi-size estimate: fit the profile, invert the slope."""
-    fit = fit_linear(profile)
-    warnings = (NEGATIVE_INTERCEPT_WARNING,) if fit.intercept_s < 0 else ()
+    """Multi-size estimate: the `fit_line` of the profile's minima, its slope
+    inverted. Two points give the exact line through them. Raises
+    InsufficientPoints below two points, NonPositiveSlope for a slope that
+    is not positive, then NonFiniteEstimate for a fit that is not finite."""
+    n = len(profile.sizes_bits)
+    if n < 2:
+        raise InsufficientPoints(f"need >= 2 profile points, got {n}")
+    slope, intercept, rms = map(float, fit_line(profile.sizes_bits, profile.min_delay_s))
+    b_av = invert_slope(slope)
+    if not all(map(math.isfinite, (slope, intercept, rms))):
+        raise NonFiniteEstimate(f"the fit overflows float64: slope_s_per_bit={slope}, "
+                                f"intercept_s={intercept}, residual_rms_s={rms}")
     return BandwidthEstimate(
-        b_av_bps=invert_slope(fit.slope_s_per_bit),
-        intercept_s=fit.intercept_s,
+        b_av_bps=b_av,
+        intercept_s=intercept,
         method=METHOD_REGRESSION,
-        residual_rms_s=fit.residual_rms_s,
-        warnings=warnings,
+        residual_rms_s=rms,
+        warnings=(NEGATIVE_INTERCEPT_WARNING,) if intercept < 0 else (),
     )
 
 
@@ -302,9 +277,5 @@ def estimate_bandwidth(
             f"(dropped: {list(profile.dropped_sizes) or 'none'})"
         )
     if len(profile.sizes_bits) == 2:
-        est = estimate_pairwise(*profile.points)
-    else:
-        est = estimate_regression(profile)
-    if not all(map(math.isfinite, (est.b_av_bps, est.intercept_s, est.residual_rms_s))):
-        raise NonFiniteEstimate(f"the estimate overflows float64: {est}")
-    return est, profile
+        return estimate_pairwise(*profile.points), profile
+    return estimate_regression(profile), profile

@@ -36,10 +36,12 @@ class Hop:
     loss_prob: float = 0.0
 
     def __post_init__(self):
-        if not self.capacity_bps > 0:
-            raise ValueError(f"capacity_bps must be positive, got {self.capacity_bps}")
-        if self.propagation_s < 0 or self.processing_s < 0 or self.queue_noise_mean_s < 0:
-            raise ValueError("hop delays must be nonnegative")
+        if not 0 < self.capacity_bps < math.inf:
+            raise ValueError(f"capacity_bps must be positive and finite, got {self.capacity_bps}")
+        for name in ("propagation_s", "processing_s", "queue_noise_mean_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         if not 0 <= self.loss_prob < 1:
             raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
 
@@ -178,6 +180,6 @@ def load_path_file(path) -> SimPath:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     return path_from_config(config)

@@ -390,6 +390,12 @@ def test_duplicate_sizes_usage_error(tmp_path):
                  "--output", str(tmp_path / "x.jsonl")]) == 64
 
 
+@pytest.mark.parametrize("flags", [["--seed", "7"], ["--output", "estimate.out"]])
+def test_estimate_refuses_flags_it_would_ignore(adsl_csv, flags):
+    # only simulate reads --seed, and estimate writes no file
+    assert main(["estimate", str(adsl_csv), *flags]) == 64
+
+
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == 64
 
@@ -423,6 +429,22 @@ def test_config_file_unknown_key_exits_65(tmp_path):
                  "--config", str(config)]) == 65
 
 
+@pytest.mark.parametrize("hop, needle", [
+    ('"capacity_bps": Infinity, "propagation_s": 0.01',
+     "hop 0: capacity_bps must be positive and finite, got inf"),
+    ('"capacity_bps": 1e6, "note": "caf\udce9"', "{path}: 'utf-8' codec can't decode byte 0xe9"),
+], ids=["infinite capacity", "not utf-8"])
+def test_simulate_refuses_a_bad_path_file_before_saving(tmp_path, capfd, hop, needle):
+    path_config = tmp_path / "path.json"
+    path_config.write_bytes(f'{{"seed": 1, "hops": [{{{hop}}}]}}'.encode("utf-8", "surrogateescape"))
+    out_file = tmp_path / "s.jsonl"
+    assert main(["simulate", str(path_config), "--output", str(out_file)]) == 65
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"deltaprobe: ConfigError: {needle.format(path=path_config)}" in err
+    assert not out_file.exists()
+
+
 def test_config_file_seed_matches_seed_flag(tmp_path):
     path_config = tmp_path / "noisy.json"
     path_config.write_text(json.dumps({
@@ -448,13 +470,19 @@ def test_config_file_seed_matches_seed_flag(tmp_path):
     (["--seed", str(2**64)], None, 64, "usage error: --seed must be in 0..2**64-1"),
     ([], "count=0", 65, "ConfigError: {config}:2: count must be at least 1, got 0"),
     ([], "seed=-1", 65, "ConfigError: {config}:2: seed must be in 0..2**64-1, got -1"),
+    (["--sizes", "100,1152921504606846976"], None, 64,
+     "usage error: --sizes must be positive and distinct, each at most 65535 bytes"),
+    ([], "sizes=100,9223372036854775808", 65,
+     "ConfigError: {config}:2: sizes must be positive and distinct, each at most 65535 bytes"),
+    ([], "# caf\udce9", 65, "ConfigError: {config}:2: invalid UTF-8 at byte 5"),
 ])
 def test_simulator_rejected_values_exit_without_traceback(tmp_path, capfd, flags, config,
                                                           code, needle):
     argv = ["simulate", str(two_hop_config(tmp_path)), "--output", str(tmp_path / "s.jsonl")]
     config_file = tmp_path / "deltaprobe.conf"
     if config is not None:
-        config_file.write_text(f"# values the simulator refuses\n{config}\n")
+        text = f"# values the simulator refuses\n{config}\n"
+        config_file.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv += ["--config", str(config_file)]
     assert main(argv + flags) == code
     out, err = capfd.readouterr()
@@ -470,10 +498,13 @@ def test_simulator_rejected_values_exit_without_traceback(tmp_path, capfd, flags
     ("sizes=100,,1124", "sizes: invalid literal for int()"),
     ("min_samples=0", "min_samples must be at least 1, got 0"),
     ("udp_port=70000", "udp_port must be in 1..65535, got 70000"),
+    ("sizes=100,12345678901234567890",
+     "sizes must be positive and distinct, each at most 65535 bytes, got (100, 12345678901234567890)"),
+    ("count=5 # caf\udce9", "invalid UTF-8 at byte 13"),
 ])
 def test_config_file_values_are_checked(tmp_path, capsys, config, needle):
     config_file = tmp_path / "deltaprobe.conf"
-    config_file.write_text(config + "\n")
+    config_file.write_bytes((config + "\n").encode("utf-8", "surrogateescape"))
     for command in (["simulate", str(two_hop_config(tmp_path))], ["probe", "127.0.0.1"]):
         argv = command + ["--config", str(config_file), "--output", str(tmp_path / "s.jsonl")]
         assert main(argv) == 65
@@ -515,7 +546,10 @@ _FEATURE_FLAGS = "--hop-count or --route-km: "
     (["--hop-count", "5", "--route-km", "inf"],
      _FEATURE_FLAGS + "route_length_l_km must be >= 0 and finite, got inf"),
     (["--route-km", "1000"], "--route-km needs --hop-count or --discover-hops"),
-], ids=["hop count 0", "negative route", "nan route", "infinite route", "route without hops"])
+    (["--sizes", "100,12345678901234567890"], "--sizes must be positive and distinct, "
+     "each at most 65535 bytes, got (100, 12345678901234567890)"),
+], ids=["hop count 0", "negative route", "nan route", "infinite route", "route without hops",
+        "size beyond int64"])
 def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeypatch, flags, needle):
     def no_session(plan, **kwargs):
         raise AssertionError(f"a session was sent to {plan.target}")
@@ -614,9 +648,11 @@ def test_invalid_utf8_exits_65_naming_the_line(sim_session, tmp_path, capsys):
     delays.write_bytes(b"size_bytes,delay_s\n100,0.018\n1124,0.04\xff2\n")
     observations = tmp_path / "obs.csv"
     observations.write_bytes(b"path_id,n,l_km,a_s\np1,5,1000,0.0055\np2,10,2000,0.011\np\xff,3,9,0.003\n")
+    model_file = str(tmp_path / "model.json")
     for argv, line_no in ((["stats", str(sim_session)], 4), (["estimate", str(sim_session)], 4),
-                          (["estimate", str(delays)], 3), (["calibrate", str(observations)], 4)):
-        assert main(argv + ["--output", str(tmp_path / "model.json")]) == 65
+                          (["estimate", str(delays)], 3),
+                          (["calibrate", str(observations), "--output", model_file], 4)):
+        assert main(argv) == 65
         assert f"CorruptLine: line {line_no}: invalid UTF-8" in capsys.readouterr().err
 
 

@@ -8,6 +8,7 @@ from deltaprobe.errors import (
     DelayNotAboveIntercept,
     EqualSizes,
     InsufficientPoints,
+    NonFiniteEstimate,
     NonPositiveDelayDifference,
     NonPositiveSlope,
     NoUsableSizes,
@@ -22,7 +23,6 @@ from deltaprobe.estimator import (
     estimate_pairwise,
     estimate_regression,
     fit_line,
-    fit_linear,
     invert_slope,
     min_delay_profile,
 )
@@ -80,6 +80,17 @@ def test_profile_rejects_bad_columns(sizes, delays, counts):
 def test_estimate_rejects_nonpositive_bandwidth():
     with pytest.raises(ValueError):
         BandwidthEstimate(b_av_bps=0.0, intercept_s=0.0, method="pairwise")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_pairwise(SizeDelayPoint(800, 1e-300),
+                              SizeDelayPoint(8992, 1.0000000000000002e-300)),
+    lambda: estimate_from_intercept(SizeDelayPoint(800, 1e-300), 0.9999999999999999e-300),
+], ids=["pairwise", "from_intercept"])
+def test_estimate_that_overflows_is_refused_where_it_is_built(call):
+    # a delay difference of a few subnormals gives a bandwidth of inf
+    with pytest.raises(NonFiniteEstimate, match=r"overflows float64: .*b_av_bps=inf"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +298,36 @@ def test_from_intercept_delay_not_above():
 # linear fit / slope inversion / regression
 # ---------------------------------------------------------------------------
 
-def test_fit_two_points_is_exact_pairwise_solution():
-    fit = fit_linear(profile_from_points([ADSL_SMALL, ADSL_LARGE]))
-    assert fit.slope_s_per_bit == pytest.approx(0.024 / 8192, rel=1e-12)
-    assert fit.slope_s_per_bit == pytest.approx(2.9296875e-6, rel=1e-9)
-    assert fit.intercept_s == pytest.approx(ADSL_INTERCEPT, rel=1e-9)
-    assert fit.residual_rms_s < 1e-12
-    assert fit.n_points == 2
+def test_regression_two_points_is_exact_pairwise_solution():
+    est = estimate_regression(profile_from_points([ADSL_SMALL, ADSL_LARGE]))
+    assert 1 / est.b_av_bps == pytest.approx(0.024 / 8192, rel=1e-12)
+    assert 1 / est.b_av_bps == pytest.approx(2.9296875e-6, rel=1e-9)
+    assert est.intercept_s == pytest.approx(ADSL_INTERCEPT, rel=1e-9)
+    assert est.residual_rms_s < 1e-12
 
 
-def test_fit_exact_affine_five_points():
+def test_regression_exact_affine_five_points():
     points = affine_points(0.002, 1e6, [800, 2048, 4096, 8192, 8992])
-    fit = fit_linear(profile_from_points(points))
-    assert fit.slope_s_per_bit == pytest.approx(1e-6, rel=1e-9)
-    assert fit.intercept_s == pytest.approx(0.002, rel=1e-9)
-    assert fit.residual_rms_s < 1e-12
+    est = estimate_regression(profile_from_points(points))
+    assert 1 / est.b_av_bps == pytest.approx(1e-6, rel=1e-9)
+    assert est.intercept_s == pytest.approx(0.002, rel=1e-9)
+    assert est.residual_rms_s < 1e-12
 
 
-def test_fit_negative_slope_rejected():
+def test_regression_negative_slope_rejected():
     points = [SizeDelayPoint(w, 0.1 - w * 1e-6) for w in (800, 2048, 4096, 8192, 8992)]
     with pytest.raises(NonPositiveSlope):
-        fit_linear(profile_from_points(points))
+        estimate_regression(profile_from_points(points))
 
 
 def test_fit_single_point_rejected():
-    with pytest.raises(InsufficientPoints):
-        fit_linear(profile_from_points([ADSL_SMALL]))
+    # the thin 8992-bit size is dropped, so many samples leave one point to fit
+    samples = make_series(800, [0.012, 0.010, 0.011])
+    samples += make_series(8992, [0.020], start_seq=3)
+    profile = min_delay_profile(samples, min_samples_per_size=3)
+    assert len(profile.sizes_bits) == 1
+    with pytest.raises(InsufficientPoints, match="got 1"):
+        estimate_regression(profile)
 
 
 def _loop_fit(sizes, delays):

@@ -249,5 +249,14 @@ def test_hop_validation():
         Hop(capacity_bps=1e6, loss_prob=1.0)
     with pytest.raises(ValueError):
         Hop(capacity_bps=1e6, propagation_s=-0.1)
+    for bad in ({"capacity_bps": math.inf}, {"capacity_bps": math.nan},
+                {"capacity_bps": math.inf, "propagation_s": 0.01},
+                {"capacity_bps": 1e6, "propagation_s": math.nan},
+                {"capacity_bps": 1e6, "propagation_s": math.inf},
+                {"capacity_bps": 1e6, "processing_s": math.nan},
+                {"capacity_bps": 1e6, "queue_noise_mean_s": math.nan},
+                {"capacity_bps": 1e6, "queue_noise_mean_s": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            Hop(**bad)
     with pytest.raises(ValueError):
         SimPath(hops=(), seed=0)
