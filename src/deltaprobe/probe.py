@@ -38,6 +38,7 @@ _METHODS = frozenset({METHOD_ICMP, METHOD_UDP, METHOD_SIMULATED, METHOD_IMPORTED
 ICMP_HEADER_BYTES = 8
 UDP_HEADER_BYTES = 8
 IPV4_HEADER_BYTES = 20
+IPV4_MAX_PACKET_BYTES = 0xFFFF
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
@@ -535,6 +536,11 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatc
         raise InvalidProbePlan(
             f"payload must be at least {MIN_PAYLOAD_BYTES} bytes "
             "(timestamp + nonce prefix)"
+        )
+    limit = IPV4_MAX_PACKET_BYTES - wire_size(0, plan.method) // 8
+    if max(plan.sizes_payload_bytes) > limit:
+        raise InvalidProbePlan(
+            f"payload must be at most {limit} bytes for {plan.method} (one IPv4 packet)"
         )
     total = len(plan.sizes_payload_bytes) * plan.count_per_size
     if total > 0xFFFF:

@@ -36,6 +36,11 @@ class Hop:
     loss_prob: float = 0.0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            # JSON true and false would pass every range check below as 1 and 0
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0 < self.capacity_bps < math.inf:
             raise ValueError(f"capacity_bps must be positive and finite, got {self.capacity_bps}")
         for name in ("propagation_s", "processing_s", "queue_noise_mean_s"):
@@ -167,7 +172,7 @@ def path_from_config(config: dict) -> SimPath:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"hop {i}: {exc}") from exc
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     try:
         return SimPath(hops=tuple(hops), seed=seed)

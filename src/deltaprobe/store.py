@@ -43,6 +43,7 @@ CANONICAL_CSV_MAPPING = {
 
 _sample_fields_of = operator.itemgetter(*SAMPLE_FIELDS)
 _TRUTHY = {"1", "true", "yes", "y", "lost"}
+_EMPTY_AS_NAN = {"": "nan"}
 
 # Sample lines written or parsed at a time: a session is never held whole
 # as text or as parsed JSON objects, only as columns.
@@ -367,9 +368,11 @@ def _float_or_nan(text: str) -> float:
 
 
 def _float_column(cells: list) -> np.ndarray:
-    """A CSV column as floats; cells that do not parse become NaN."""
+    """A CSV column as floats; cells that do not parse become NaN. An empty
+    cell, the usual lost row, reads as "nan" in the one numpy parse, so only
+    a column with some other bad cell is parsed again cell by cell."""
     try:
-        return np.array(cells, dtype=np.float64)
+        return np.array(list(map(_EMPTY_AS_NAN.get, cells, cells)), dtype=np.float64)
     except ValueError:
         return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
 
@@ -388,8 +391,10 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     `mapping` names the columns: required keys "size" and "delay", optional
     "timestamp" (microseconds) and "lost"; "size_unit" declares whether the
     size column is in "bytes" (default) or "bits". Rows whose delay is not a
-    positive finite number become lost samples; rows whose size does not
-    parse are skipped. Both are tallied in a single warning.
+    positive finite number, an empty or unparseable cell included, become
+    lost samples, as do rows whose lost cell reads 1, true, yes, y or lost
+    (any case, stripped); rows whose size does not parse are skipped. Both
+    are tallied in a single warning.
     """
     for key in ("size", "delay"):
         if key not in mapping:
@@ -407,7 +412,7 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
             column = mapping.get(key)
             if column is not None and column not in header:
                 raise MissingColumn(f"{path}: column {column!r} not in header")
-        rows = [row for row in reader if row]
+        rows = list(filter(None, reader))
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
 
@@ -425,7 +430,9 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     rtt_s = _float_column(cells("delay"))
     bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
     if mapping.get("lost") is not None:
-        lost = np.array([c.strip().lower() in _TRUTHY for c in cells("lost")], dtype=bool)
+        flags = cells("lost")
+        truthy = {c: c.strip().lower() in _TRUTHY for c in set(flags)}
+        lost = np.fromiter(map(truthy.__getitem__, flags), bool, len(flags))
         bad_delay &= ~lost
         rtt_s[lost] = np.nan
     rtt_s[bad_delay] = np.nan

@@ -429,14 +429,18 @@ def test_config_file_unknown_key_exits_65(tmp_path):
                  "--config", str(config)]) == 65
 
 
-@pytest.mark.parametrize("hop, needle", [
-    ('"capacity_bps": Infinity, "propagation_s": 0.01',
+@pytest.mark.parametrize("seed, hop, needle", [
+    ("1", '"capacity_bps": Infinity, "propagation_s": 0.01',
      "hop 0: capacity_bps must be positive and finite, got inf"),
-    ('"capacity_bps": 1e6, "note": "caf\udce9"', "{path}: 'utf-8' codec can't decode byte 0xe9"),
-], ids=["infinite capacity", "not utf-8"])
-def test_simulate_refuses_a_bad_path_file_before_saving(tmp_path, capfd, hop, needle):
+    ("1", '"capacity_bps": 1e6, "note": "caf\udce9"', "{path}: 'utf-8' codec can't decode byte 0xe9"),
+    ("1", '"capacity_bps": true', "hop 0: capacity_bps must be a number, got True"),
+    ("1", '"capacity_bps": 1e6, "loss_prob": false', "hop 0: loss_prob must be a number, got False"),
+    ("true", '"capacity_bps": 1e6', "seed must be an integer, got True"),
+], ids=["infinite capacity", "not utf-8", "true capacity", "false loss", "true seed"])
+def test_simulate_refuses_a_bad_path_file_before_saving(tmp_path, capfd, seed, hop, needle):
     path_config = tmp_path / "path.json"
-    path_config.write_bytes(f'{{"seed": 1, "hops": [{{{hop}}}]}}'.encode("utf-8", "surrogateescape"))
+    path_config.write_bytes(
+        f'{{"seed": {seed}, "hops": [{{{hop}}}]}}'.encode("utf-8", "surrogateescape"))
     out_file = tmp_path / "s.jsonl"
     assert main(["simulate", str(path_config), "--output", str(out_file)]) == 65
     out, err = capfd.readouterr()
@@ -514,11 +518,16 @@ def test_config_file_values_are_checked(tmp_path, capsys, config, needle):
 @pytest.mark.parametrize("setting, needle", [
     ("sizes=4,100", "payload must be at least 12 bytes"),
     ("count=40000", "session too large: sequence numbers are 16-bit"),
+    ("sizes=100,65508", "payload must be at most 65507 bytes for udp_echo (one IPv4 packet)"),
 ])
 @pytest.mark.parametrize("via", ["flag", "config"])
-def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, setting, needle, via):
+def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, monkeypatch, setting, needle, via):
     # simulate accepts these values: the probe engine is what refuses them,
     # before it opens a socket
+    def send_nothing(*_):
+        raise AssertionError("a probe was sent")
+
+    monkeypatch.setattr(deltaprobe.probe, "_run_echo_loop", send_nothing)
     argv = ["probe", "127.0.0.1", "--method", "udp_echo", "--output", str(tmp_path / "s.jsonl")]
     key, value = setting.split("=")
     if via == "flag":

@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from deltaprobe.errors import AllProbesLost, NoReply, ResolveFailure
+from deltaprobe import probe as probe_module
+from deltaprobe.errors import AllProbesLost, InvalidProbePlan, NoReply, ResolveFailure
 from deltaprobe.probe import (
     InvalidSample,
     ProbePlan,
@@ -174,6 +175,23 @@ def test_session_rejects_tiny_payload():
     plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(8, 100))
     with pytest.raises(ValueError):
         run_session(plan)
+
+
+@pytest.mark.parametrize("method", ["icmp_echo", "udp_echo"])
+def test_session_refuses_a_payload_beyond_one_ipv4_packet(monkeypatch, method):
+    class Resolved(Exception):
+        pass
+
+    def resolve(_target):
+        raise Resolved  # the plan passed every check; no socket is opened
+
+    monkeypatch.setattr(probe_module, "_resolve", resolve)
+    largest = 65535 - 20 - 8  # IPv4 and ICMP or UDP headers
+    with pytest.raises(Resolved):
+        run_session(ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, largest), method=method))
+    with pytest.raises(InvalidProbePlan, match=f"at most {largest} bytes for {method}"):
+        run_session(ProbePlan(target="127.0.0.1", sizes_payload_bytes=(100, largest + 1),
+                              method=method))
 
 
 @needs_icmp

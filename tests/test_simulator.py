@@ -258,5 +258,12 @@ def test_hop_validation():
                 {"capacity_bps": 1e6, "queue_noise_mean_s": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             Hop(**bad)
+    for bad in ({"capacity_bps": True}, {"capacity_bps": 1e6, "propagation_s": False},
+                {"capacity_bps": 1e6, "processing_s": True},
+                {"capacity_bps": 1e6, "queue_noise_mean_s": True},
+                {"capacity_bps": 1e6, "loss_prob": False}):
+        name, value = list(bad.items())[-1]
+        with pytest.raises(TypeError, match=f"{name} must be a number, got {value!r}"):
+            Hop(**bad)
     with pytest.raises(ValueError):
         SimPath(hops=(), seed=0)

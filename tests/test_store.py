@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import stat
 from dataclasses import asdict
@@ -237,6 +238,120 @@ def test_export_import_preserves_size_delay_lost(tmp_path):
             assert imported.lost == orig.lost
             assert imported.rtt_s == orig.rtt_s  # repr round-trips floats
             assert imported.sent_at_us == orig.sent_at_us
+
+
+def _reference_import(path, mapping):
+    """import_csv row by row, as its docstring states the rules, on
+    csv.DictReader: the last column of a name wins and a short row reads "".
+    Returns the expected SampleBatch and the warning's two counts."""
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return math.nan
+
+    def integer(cell):
+        value = number(cell)
+        return int(value) if abs(value) < 2.0 ** 59 else None
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh, restval=""))
+    columns = {name: [] for name in ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")}
+    bad_delays = bad_sizes = 0
+    for index, row in enumerate(rows):
+        size = integer(row[mapping["size"]])
+        wire_bits = None if size is None else size * (8 if mapping["size_unit"] == "bytes" else 1)
+        if wire_bits is None or wire_bits < 8:
+            bad_sizes += 1
+            continue
+        rtt = number(row[mapping["delay"]])
+        if "lost" in mapping and row[mapping["lost"]].strip().lower() in {"1", "true", "yes", "y", "lost"}:
+            rtt = math.nan
+        elif not 0 < rtt < math.inf:
+            bad_delays += 1
+            rtt = math.nan
+        stamp = integer(row[mapping["timestamp"]]) if "timestamp" in mapping else None
+        for name, value in zip(columns, (index, wire_bits // 8, wire_bits,
+                                         index if stamp is None else stamp, rtt)):
+            columns[name].append(value)
+    batch = SampleBatch("import", "imported", *(
+        np.array(values, dtype=np.float64 if name == "rtt_s" else np.int64)
+        for name, values in columns.items()))
+    return batch, (bad_delays, bad_sizes)
+
+
+# cells the one numpy parse of a column reads, empty ones included
+_CELLS_BY_COLUMN = {
+    "size": ["100", "1124", "12", "1500.7", "-3", "0", "+64", "１２８"],
+    "delay": ["0.018", "0.04", "1e-3", "5e-324", "0", "-0.5", "nan", "inf", "-inf", "1e400", ""],
+    "lost": ["0", "1", "", "true", "True", " yes ", "Y", "lost", "LOST", "no", "false"],
+    "timestamp": ["1000", "17.9", "-7", "", "nan", "1e400"],
+}
+# cells for any column, some of which send a column back cell by cell
+_ODD_CELLS = ["", " ", "abc", "nan", "inf", "1e400", "1_000", "1,5", "0x10", ' "2" ']
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
+    rng = np.random.default_rng(seed)
+    mapping = {"size": "size", "delay": "delay", "size_unit": ("bytes", "bits")[seed % 2]}
+    header = ["size", "delay", "note", "size"]  # the last "size" column is the one read
+    for bit, key in ((2, "lost"), (4, "timestamp")):
+        if seed & bit:
+            mapping[key] = key
+            header.insert(int(rng.integers(0, len(header) + 1)), key)
+    odd = rng.random() < 0.7
+    lines = [",".join(header)]
+    for _ in range(int(rng.integers(1, 300))):
+        if rng.random() < 0.03:
+            lines.append("")  # a blank line is no row
+            continue
+        row = []
+        for name in header:
+            pool = _CELLS_BY_COLUMN.get(name, ["x", ""])
+            if odd and rng.random() < 0.15:
+                pool = _ODD_CELLS
+            cell = str(rng.choice(pool))
+            if "," in cell or '"' in cell or rng.random() < 0.1:
+                cell = '"' + cell.replace('"', '""') + '"'
+            row.append(cell)
+        if rng.random() < 0.05:
+            row = row[:int(rng.integers(1, len(row)))]  # a short row
+        lines.append(",".join(row))
+    csv_path = tmp_path / "delays.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    want, counts = _reference_import(csv_path, mapping)
+    if not len(want):
+        with pytest.raises(EmptyFile):
+            import_csv(csv_path, mapping)
+        return
+    with caplog.at_level("WARNING", logger="deltaprobe.store"):
+        got = import_csv(csv_path, mapping)
+    assert (got.path_id, got.method) == (want.path_id, want.method)
+    for name in ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s"):
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+    warned = [r.args[1:] for r in caplog.records if "treated as lost" in r.getMessage()]
+    assert warned == ([counts] if any(counts) else [])
+
+
+def test_empty_delay_cells_take_the_one_numpy_parse(tmp_path, monkeypatch):
+    calls = []
+    float_or_nan = store._float_or_nan
+    monkeypatch.setattr(store, "_float_or_nan", lambda text: calls.append(text) or float_or_nan(text))
+    mapping = {"size": "size_bytes", "delay": "delay_s", "lost": "lost", "timestamp": "t"}
+    csv_path = tmp_path / "lossy.csv"
+    csv_path.write_text("size_bytes,delay_s,lost,t\n100,0.018,0,5\n100,,1,\n1124,,0,7\n1124,0.042,0,9\n")
+    samples = import_csv(csv_path, mapping)
+    assert calls == []
+    assert [s.lost for s in samples] == [False, True, True, False]
+    assert samples.sent_at_us.tolist() == [5, 1, 7, 9]
+
+    csv_path.write_text("size_bytes,delay_s,lost,t\n100,0.018,0,5\n100,abc,0,6\n1124,0.042,0,9\n")
+    samples = import_csv(csv_path, mapping)
+    assert "abc" in calls
+    assert np.isnan(samples.rtt_s[1]) and samples.rtt_s[[0, 2]].tolist() == [0.018, 0.042]
 
 
 # ---------------------------------------------------------------------------
