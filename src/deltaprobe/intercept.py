@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,11 +31,15 @@ class PathFeatures:
     route_length_l_km: float
 
     def __post_init__(self):
-        if self.hop_count_n < 1:
-            raise ValueError(f"hop_count_n must be >= 1, got {self.hop_count_n}")
-        if not 0 <= self.route_length_l_km < math.inf:
-            raise ValueError(
-                f"route_length_l_km must be >= 0 and finite, got {self.route_length_l_km}")
+        n, l_km = self.hop_count_n, self.route_length_l_km  # a bool is neither, as in Hop
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"hop_count_n must be an integer, got {n!r}")
+        if isinstance(l_km, bool) or not isinstance(l_km, numbers.Real):
+            raise TypeError(f"route_length_l_km must be a number, got {l_km!r}")
+        if n < 1:
+            raise ValueError(f"hop_count_n must be >= 1, got {n}")
+        if not 0 <= l_km < math.inf:
+            raise ValueError(f"route_length_l_km must be >= 0 and finite, got {l_km}")
 
 
 class InvalidObservation(ValueError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,7 +40,7 @@ class Hop:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             # JSON true and false would pass every range check below as 1 and 0
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0 < self.capacity_bps < math.inf:
             raise ValueError(f"capacity_bps must be positive and finite, got {self.capacity_bps}")

@@ -224,21 +224,12 @@ def _bulk_chunk(chunk: list[bytes], ids: Optional[tuple[str, str]]) -> Optional[
     return (*chunk_ids, *ints.reshape(4, len(matches)), rtt_s)
 
 
-def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], list[tuple], range | list]:
-    """The sample objects of consecutive lines, their known fields as tuples
-    in SAMPLE_FIELDS order, and their line numbers. One json.loads call
-    parses the whole chunk; on any failure the chunk is parsed again line by
-    line, which skips blank lines and names the first bad line."""
-    try:
-        # each line keeps its end, which no JSON string may hold, so no
-        # value can run on from one line into the next
-        objs = json.loads((b"[" + b",".join(lines) + b"]").decode("utf-8"))
-        if len(objs) == len(lines):
-            return objs, list(map(_sample_fields_of, objs)), range(
-                first_line_no, first_line_no + len(lines))
-    except (ValueError, KeyError, TypeError):
-        pass
-    objs, rows, line_nos = [], [], []
+def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[tuple], list[int], dict[int, dict]]:
+    """The known fields of the sample lines among `lines` as tuples in
+    SAMPLE_FIELDS order, their line numbers, and the unknown fields of each
+    sample that has any, keyed by its row. Parsed one line at a time: blank
+    lines are skipped and the first bad line raises CorruptLine naming it."""
+    rows, line_nos, extras = [], [], {}
     for line_no, raw in enumerate(lines, start=first_line_no):
         text = _decode(line_no, raw)
         if not text.strip():
@@ -248,17 +239,18 @@ def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[dict], li
             rows.append(_sample_fields_of(obj))
         except KeyError as exc:
             raise CorruptLine(line_no, f"bad sample: missing field {exc}") from exc
-        objs.append(obj)
+        if len(obj) > len(SAMPLE_FIELDS):
+            extras[len(line_nos)] = {k: v for k, v in obj.items() if k not in SAMPLE_FIELDS}
         line_nos.append(line_no)
-    return objs, rows, line_nos
+    return rows, line_nos, extras
 
 
 def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
     """The samples of the sample lines (bytes, line 2 onwards) in `lines`,
     read and checked a chunk at a time, and the unknown fields of each
     sample that has any, keyed by seq. A chunk of canonical lines of the
-    file's path_id and method is parsed in bulk, any other chunk through
-    json.loads; each must keep the ids and seq order of the one before."""
+    file's path_id and method is parsed in bulk, any other chunk line by
+    line; each must keep the ids and seq order of the one before."""
     batches: list[SampleBatch] = []
     sample_extras: dict[int, dict] = {}
     first_line_no = 2
@@ -270,9 +262,9 @@ def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
             # split as a text-mode file would, so a line number is the same
             # whatever the line endings
             chunk = b"".join(chunk).splitlines(keepends=True)
-            objs, rows, line_nos = _parse_chunk(chunk, first_line_no)
+            rows, line_nos, extras = _parse_chunk(chunk, first_line_no)
         else:
-            objs, line_nos = (), range(first_line_no, first_line_no + len(chunk))
+            line_nos, extras = range(first_line_no, first_line_no + len(chunk)), {}
         first_line_no += len(chunk)
         if not line_nos:
             continue
@@ -283,12 +275,7 @@ def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
         except InvalidSample as exc:
             raise CorruptLine(line_nos[exc.index], f"bad sample: {exc}") from exc
         batches.append(batch)
-        if sum(map(len, objs)) != len(SAMPLE_FIELDS) * len(objs):
-            for obj in objs:
-                if len(obj) > len(SAMPLE_FIELDS):
-                    sample_extras[obj["seq"]] = {
-                        k: v for k, v in obj.items() if k not in SAMPLE_FIELDS
-                    }
+        sample_extras.update(zip(batch.seq[list(extras)].tolist(), extras.values()))
     if not batches:
         return SampleBatch.from_rows(()), sample_extras
     return SampleBatch.concat(batches), sample_extras
@@ -344,6 +331,45 @@ def _open_csv(path):
                 for line_no, line in enumerate(lines, start=1):
                     _decode(line_no, line)
             raise
+
+
+def _read_csv(path, columns) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a CSV file whose header names
+    every one of `columns`. A file without a header, a column or a data row
+    raises EmptyFile or MissingColumn; a row the csv module refuses (a field
+    over its 131,072-character limit) raises CorruptLine naming its line."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile(f"{path}: no header row")
+            for column in columns:
+                if column not in header:
+                    raise MissingColumn(f"{path}: column {column!r} not in header")
+            rows = list(filter(None, reader))
+        except csv.Error as exc:
+            raise CorruptLine(reader.line_num, str(exc)) from exc
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return header, rows
+
+
+def _cells(header: list[str], rows: list[list[str]], name: str) -> list[str]:
+    """Column `name` as csv.DictReader reads it: the last column of that
+    name, and "" (a cell that does not parse) where a row is short."""
+    i = max(i for i, column in enumerate(header) if column == name)
+    return [row[i] if i < len(row) else "" for row in rows]
+
+
+def _line_of_row(path, index: int) -> int:
+    """The line on which data row `index` of a CSV file that _read_csv read
+    ends, found by reading the file again."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        next(itertools.islice(filter(None, reader), index, None))
+        return reader.line_num
 
 
 def export_csv(samples: Samples, path) -> None:
@@ -403,34 +429,18 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     if size_unit not in ("bytes", "bits"):
         raise ValueError(f'size_unit must be "bytes" or "bits", got {size_unit!r}')
 
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile(f"{path}: no header row")
-        for key in ("size", "delay", "timestamp", "lost"):
-            column = mapping.get(key)
-            if column is not None and column not in header:
-                raise MissingColumn(f"{path}: column {column!r} not in header")
-        rows = list(filter(None, reader))
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
+    columns = (mapping.get(key) for key in ("size", "delay", "timestamp", "lost"))
+    header, rows = _read_csv(path, [column for column in columns if column is not None])
 
-    def cells(key: str) -> list:
-        # as csv.DictReader reads it: the last column of that name, and ""
-        # (a cell that does not parse) where a row is short
-        i = max(i for i, name in enumerate(header) if name == mapping[key])
-        return [row[i] if i < len(row) else "" for row in rows]
-
-    size, size_ok = _int_column(cells("size"))
+    size, size_ok = _int_column(_cells(header, rows, mapping["size"]))
     wire_bits = size * 8 if size_unit == "bytes" else size
     kept = size_ok & (wire_bits >= 8)
 
     index = np.arange(len(rows))
-    rtt_s = _float_column(cells("delay"))
+    rtt_s = _float_column(_cells(header, rows, mapping["delay"]))
     bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
     if mapping.get("lost") is not None:
-        flags = cells("lost")
+        flags = _cells(header, rows, mapping["lost"])
         truthy = {c: c.strip().lower() in _TRUTHY for c in set(flags)}
         lost = np.fromiter(map(truthy.__getitem__, flags), bool, len(flags))
         bad_delay &= ~lost
@@ -439,7 +449,7 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
 
     sent_at_us = index
     if mapping.get("timestamp") is not None:
-        stamp, stamp_ok = _int_column(cells("timestamp"))
+        stamp, stamp_ok = _int_column(_cells(header, rows, mapping["timestamp"]))
         sent_at_us = np.where(stamp_ok, stamp, index)
 
     bad_delays = int((bad_delay & kept).sum())
@@ -462,7 +472,7 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     )
 
 
-def _number_column(cells: tuple, dtype, name: str):
+def _number_column(cells: list, dtype, name: str):
     """(`cells` as a `dtype` array, None), parsed by one numpy call, which
     accepts exactly what int() and float() accept. Where a cell does not
     parse or an integer exceeds int64: (the cells before it, an
@@ -487,27 +497,9 @@ def read_observations_csv(path) -> Observations:
     the last wins. A row that does not parse, breaks a PathFeatures rule or
     holds a non-finite l_km or a_s raises CorruptLine with its line number.
     """
-    names = ("path_id", "n", "l_km", "a_s")
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile(f"{path}: no header row")
-        for name in names:
-            if name not in header:
-                raise MissingColumn(f"{path}: column {name!r} not in header")
-        rows, line_nums = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                line_nums.append(reader.line_num)
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-
-    table = list(itertools.zip_longest(*rows, fillvalue=""))
-    table += [("",) * len(rows)] * (len(header) - len(table))
-    column = dict(zip(header, table))
-    parsed = [_number_column(column[name], dtype, name)
+    header, rows = _read_csv(path, ("path_id", "n", "l_km", "a_s"))
+    path_id = _cells(header, rows, "path_id")
+    parsed = [_number_column(_cells(header, rows, name), dtype, name)
               for name, dtype in (("n", np.int64), ("l_km", np.float64), ("a_s", np.float64))]
     errors = [e for _, e in parsed if e is not None]
     try:
@@ -515,8 +507,8 @@ def read_observations_csv(path) -> Observations:
             # the rows before the first cell that does not parse may still
             # break a rule, and the first bad row is the one named
             first = min(errors, key=lambda e: e.index)
-            Observations(column["path_id"][:first.index], *(c[:first.index] for c, _ in parsed))
+            Observations(path_id[:first.index], *(c[:first.index] for c, _ in parsed))
             raise first
-        return Observations(column["path_id"], *(c for c, _ in parsed))
+        return Observations(path_id, *(c for c, _ in parsed))
     except InvalidObservation as exc:
-        raise CorruptLine(line_nums[exc.index], f"bad observation: {exc}") from exc
+        raise CorruptLine(_line_of_row(path, exc.index), f"bad observation: {exc}") from exc

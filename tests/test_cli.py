@@ -436,7 +436,10 @@ def test_config_file_unknown_key_exits_65(tmp_path):
     ("1", '"capacity_bps": true', "hop 0: capacity_bps must be a number, got True"),
     ("1", '"capacity_bps": 1e6, "loss_prob": false', "hop 0: loss_prob must be a number, got False"),
     ("true", '"capacity_bps": 1e6', "seed must be an integer, got True"),
-], ids=["infinite capacity", "not utf-8", "true capacity", "false loss", "true seed"])
+    ("1", '"capacity_bps": "1e6"', "hop 0: capacity_bps must be a number, got '1e6'"),
+    ("1", '"capacity_bps": 1e6, "propagation_s": null', "hop 0: propagation_s must be a number, got None"),
+], ids=["infinite capacity", "not utf-8", "true capacity", "false loss", "true seed",
+        "string capacity", "null delay"])
 def test_simulate_refuses_a_bad_path_file_before_saving(tmp_path, capfd, seed, hop, needle):
     path_config = tmp_path / "path.json"
     path_config.write_bytes(
@@ -670,6 +673,30 @@ def test_calibrate_bad_observation_row_exits_65(tmp_path, capsys):
     csv_path.write_text("path_id,n,l_km,a_s\np0,5,1000,0.0055\np1,x,100,0.001\n")
     assert main(["calibrate", str(csv_path), "--output", str(tmp_path / "model.json")]) == 65
     assert "CorruptLine: line 3: bad observation" in capsys.readouterr().err
+
+
+# one cell past the csv module's 131,072-character field limit
+_HUGE_CELL = "1" + "0" * 200_000
+
+
+def test_estimate_csv_field_over_the_csv_limit_exits_65(tmp_path, capfd):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(f"size_bytes,delay_s\n100,{_HUGE_CELL}\n")
+    assert main(["estimate", str(csv_path)]) == 65
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("deltaprobe: CorruptLine: line 2: field larger than field limit")
+
+
+def test_calibrate_field_over_the_csv_limit_exits_65(tmp_path, capfd):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(f"path_id,n,l_km,a_s\np0,5,1000,0.0055\np1,10,2000,{_HUGE_CELL}\n")
+    model_file = tmp_path / "model.json"
+    assert main(["calibrate", str(csv_path), "--output", str(model_file)]) == 65
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("deltaprobe: CorruptLine: line 3: field larger than field limit")
+    assert not model_file.exists()
 
 
 def test_calibrate_nonfinite_observation_exits_65(tmp_path, capfd):

@@ -89,6 +89,25 @@ def test_round_trip_without_plan_or_features(tmp_path):
     assert load_session(path) == record
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("hop_count_n", 3.5, "hop_count_n must be an integer, got 3.5"),
+    ("hop_count_n", True, "hop_count_n must be an integer, got True"),
+    ("hop_count_n", "3", "hop_count_n must be an integer, got '3'"),
+    ("route_length_l_km", "1500", "route_length_l_km must be a number, got '1500'"),
+    ("route_length_l_km", None, "route_length_l_km must be a number, got None"),
+    ("route_length_l_km", False, "route_length_l_km must be a number, got False"),
+])
+def test_session_features_of_the_wrong_type_are_bad_metadata(tmp_path, field, value, message):
+    path = tmp_path / "s.jsonl"
+    save_session(sample_record(), path)
+    meta, *samples = path.read_text().splitlines(keepends=True)
+    meta = json.loads(meta)
+    meta["features"][field] = value
+    path.write_text(json.dumps(meta) + "\n" + "".join(samples))
+    with pytest.raises(CorruptLine, match=f"^line 1: bad metadata: {message}$"):
+        load_session(path)
+
+
 def test_two_sessions_independent(tmp_path):
     a = sample_record("a")
     b = sample_record("b")
@@ -798,6 +817,8 @@ def test_observations_csv_reads_as_dictreader_does(tmp_path, text):
     ("p1,5,100,0.001\np2,0,1,1\np3,x,1,1", 4, "hop_count_n must be >= 1"),  # rule before parse
     ("p1,5,100,0.001\np2,1,1,zz\np3,0,1,1", 4, "could not convert"),  # parse before rule
     ("p1,x,100,0.001\np2,1,1,zz", 3, "invalid literal for int"),  # first bad of two columns
+    # a quoted cell over two lines and a blank line before the bad row
+    ('"p\n1",5,100,0.001\n\np2,0,1,1', 6, "hop_count_n must be >= 1"),
 ])
 def test_observations_csv_names_the_first_bad_row(tmp_path, row, line, message):
     csv_path = tmp_path / "obs.csv"
