@@ -44,7 +44,6 @@ from .simulator import (
     fixed_overhead,
     ground_truth_rate,
     run_experiment,
-    simulate_probe,
 )
 from .stats import DelaySummary, jitter_series, summarize
 from .store import (

@@ -9,9 +9,7 @@ that predict the intercept of unmeasured paths.
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,6 +18,7 @@ import numpy as np
 from . import estimator
 from .errors import InsufficientObservations, NonFiniteModel, RankDeficient
 from .estimator import BandwidthEstimate, SizeDelayPoint
+from .records import check_fields
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,11 @@ class PathFeatures:
     route_length_l_km: float
 
     def __post_init__(self):
-        n, l_km = self.hop_count_n, self.route_length_l_km  # a bool is neither, as in Hop
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise TypeError(f"hop_count_n must be an integer, got {n!r}")
-        if isinstance(l_km, bool) or not isinstance(l_km, numbers.Real):
-            raise TypeError(f"route_length_l_km must be a number, got {l_km!r}")
-        if n < 1:
-            raise ValueError(f"hop_count_n must be >= 1, got {n}")
-        if not 0 <= l_km < math.inf:
-            raise ValueError(f"route_length_l_km must be >= 0 and finite, got {l_km}")
+        check_fields(self)
+        if self.hop_count_n < 1:
+            raise ValueError(f"hop_count_n must be >= 1, got {self.hop_count_n}")
+        if not 0 <= self.route_length_l_km < math.inf:
+            raise ValueError(f"route_length_l_km must be >= 0 and finite, got {self.route_length_l_km}")
 
 
 class InvalidObservation(ValueError):
@@ -50,15 +45,14 @@ class InvalidObservation(ValueError):
         self.index = index
 
 
-class Observations(Sequence):
+class Observations:
     """(path features, measured intercept) observations as columns.
 
     `path_id` is a tuple of str, `hop_count_n` an int64 array and
     `route_length_l_km` and `a_s` float64 arrays. The constructor checks
     every PathFeatures rule at once, plus finite route lengths and
     intercepts; a failed check raises InvalidObservation naming the first
-    bad row. The batch also reads as a sequence of (PathFeatures, a_s) rows:
-    `len`, indexing and iteration give rows, and a slice gives a batch.
+    bad row.
     """
 
     __slots__ = ("path_id", "hop_count_n", "route_length_l_km", "a_s")
@@ -98,18 +92,6 @@ class Observations(Sequence):
 
     def __len__(self) -> int:
         return len(self.path_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Observations(*(getattr(self, name)[index] for name in self.__slots__))
-        i = range(len(self))[index]
-        features = PathFeatures(self.path_id[i], int(self.hop_count_n[i]),
-                                float(self.route_length_l_km[i]))
-        return features, float(self.a_s[i])
-
-    def __iter__(self):
-        rows = zip(self.path_id, self.hop_count_n.tolist(), self.route_length_l_km.tolist())
-        return zip(itertools.starmap(PathFeatures, rows), self.a_s.tolist())
 
 
 @dataclass(frozen=True)

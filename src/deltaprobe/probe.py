@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (AllProbesLost, InvalidProbePlan, InvalidSample, NoReply,
                      ProbePermissionError, ResolveFailure)
+from .records import check_fields
 
 METHOD_ICMP = "icmp_echo"
 METHOD_UDP = "udp_echo"
@@ -277,6 +278,7 @@ class ProbePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes_payload_bytes", tuple(self.sizes_payload_bytes))
+        check_fields(self)
         sizes = self.sizes_payload_bytes
         if not sizes:
             raise InvalidProbePlan("at least one probe size required")

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .probe import METHOD_SIMULATED, SampleBatch
+from .records import check_fields, from_json
 
 RNG_ALGORITHM = "pcg64"
 
@@ -37,11 +37,7 @@ class Hop:
     loss_prob: float = 0.0
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            # JSON true and false would pass every range check below as 1 and 0
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
+        check_fields(self)
         if not 0 < self.capacity_bps < math.inf:
             raise ValueError(f"capacity_bps must be positive and finite, got {self.capacity_bps}")
         for name in ("propagation_s", "processing_s", "queue_noise_mean_s"):
@@ -59,6 +55,7 @@ class SimPath:
 
     def __post_init__(self):
         object.__setattr__(self, "hops", tuple(self.hops))
+        check_fields(self)
         if not self.hops:
             raise ValueError("path needs at least one hop")
         if not 0 <= self.seed < 2**64:
@@ -86,10 +83,6 @@ def ground_truth_rate(path: SimPath) -> float:
     return 1.0 / sum(1.0 / hop.capacity_bps for hop in path.hops)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _traverse(path: SimPath, wire_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """End-to-end delays of probes of the given wire sizes; NaN where lost.
 
@@ -108,16 +101,6 @@ def _traverse(path: SimPath, wire_bits: np.ndarray, rng: np.random.Generator) ->
             delay += rng.exponential(hop.queue_noise_mean_s, len(wire_bits))
     delay[lost] = np.nan
     return delay
-
-
-def simulate_probe(
-    path: SimPath, wire_bits: int, rng: np.random.Generator
-) -> Optional[float]:
-    """One probe through the path; None means the probe was lost."""
-    if wire_bits <= 0:
-        raise ValueError(f"wire_bits must be positive, got {wire_bits}")
-    delay = float(_traverse(path, np.array([wire_bits]), rng)[0])
-    return None if math.isnan(delay) else delay
 
 
 def run_experiment(
@@ -152,32 +135,16 @@ def run_experiment(
         payload_bytes=wire_bits // 8,
         wire_bits=wire_bits,
         sent_at_us=seq * 1000,  # synthetic 1 ms send spacing
-        rtt_s=_traverse(path, wire_bits, make_rng(path.seed)),
+        rtt_s=_traverse(path, wire_bits, np.random.Generator(np.random.PCG64(path.seed))),
     )
 
 
 def path_from_config(config: dict) -> SimPath:
     """Build a SimPath from its JSON object form:
     {"seed": u64, "hops": [{"capacity_bps": ..., ...}]}."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"path config must be an object, got {type(config).__name__}")
-    hops_cfg = config.get("hops")
-    if not isinstance(hops_cfg, list) or not hops_cfg:
-        raise ConfigError('path config needs a non-empty "hops" array')
-    hops = []
-    for i, hop_cfg in enumerate(hops_cfg):
-        # Hop(**...) refuses a hop that is not an object, lacks capacity_bps
-        # or has a key Hop does not know, with a TypeError naming it
-        try:
-            hops.append(Hop(**hop_cfg))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"hop {i}: {exc}") from exc
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     try:
-        return SimPath(hops=tuple(hops), seed=seed)
-    except ValueError as exc:
+        return from_json(SimPath, config)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

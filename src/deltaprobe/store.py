@@ -3,8 +3,8 @@
 A session file is UTF-8 JSONL: one metadata line carrying the schema
 version, identifiers, plan, and optional path features, then one line per
 sample in seq order. Every sample line of a file has the same path_id and
-method. Unknown fields on any line survive a load/save round trip
-untouched, so newer writers stay readable.
+method. Unknown metadata keys and sample fields survive a load/save round
+trip untouched; the plan and features refuse keys they have no field for.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .errors import CorruptLine, EmptyFile, InvalidSample, MissingColumn, SchemaMismatch
 from .intercept import InvalidObservation, Observations, PathFeatures
 from .probe import METHOD_IMPORTED, SAMPLE_FIELDS, ProbePlan, SampleBatch, Samples, check_seam
-from .simulator import Hop, SimPath
+from .records import check_value, from_json, record_dict
+from .simulator import SimPath
 
 logger = logging.getLogger(__name__)
 
@@ -74,15 +75,6 @@ class SessionRecord:
         self.samples = SampleBatch.from_samples(self.samples)
 
 
-def record_dict(record) -> dict:
-    """dataclasses.asdict(record) for the records this package writes as JSON,
-    without its deep copy: fields in order, values shared, SimPath.hops as dicts."""
-    obj = {name: getattr(record, name) for name in record.__dataclass_fields__}
-    if isinstance(record, SimPath):
-        obj["hops"] = tuple(map(record_dict, record.hops))
-    return obj
-
-
 _PLAN_TYPES = {ProbePlan: "probe", SimPath: "sim"}
 
 
@@ -95,24 +87,11 @@ def plan_to_json(plan: Union[ProbePlan, SimPath, None]) -> Optional[dict]:
     return {"type": _PLAN_TYPES[type(plan)], **record_dict(plan)}
 
 
-def _plan_from_json(obj: Optional[dict]) -> Union[ProbePlan, SimPath, None]:
-    if obj is None:
-        return None
-    kind = obj.get("type")
-    if kind == "probe":
-        return ProbePlan(
-            target=obj["target"],
-            sizes_payload_bytes=tuple(obj["sizes_payload_bytes"]),
-            count_per_size=obj["count_per_size"],
-            inter_probe_gap_s=obj["inter_probe_gap_s"],
-            timeout_s=obj["timeout_s"],
-            method=obj["method"],
-            udp_port=obj.get("udp_port", ProbePlan.__dataclass_fields__["udp_port"].default),
-        )
-    if kind == "sim":
-        hops = tuple(Hop(**h) for h in obj["hops"])
-        return SimPath(hops=hops, seed=obj.get("seed", 0))
-    raise ValueError(f"unknown plan type {kind!r}")
+def _plan_from_json(obj: dict) -> Union[ProbePlan, SimPath]:
+    for cls, kind in _PLAN_TYPES.items():
+        if isinstance(obj, dict) and obj.get("type") == kind:
+            return from_json(cls, {k: v for k, v in obj.items() if k != "type"})
+    raise ValueError(f'plan must be an object of type "probe" or "sim", got {obj!r}')
 
 
 def dump_line(obj: dict) -> str:
@@ -299,12 +278,13 @@ def load_session(path) -> SessionRecord:
         if schema != SCHEMA_VERSION:
             raise SchemaMismatch(f"unsupported schema version {schema!r}")
         try:
-            session_id = meta.pop("session_id")
-            created_at = meta.pop("created_at")
-            plan = _plan_from_json(meta.pop("plan", None))
-            features_obj = meta.pop("features", None)
-            features = PathFeatures(**features_obj) if features_obj else None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            session_id, created_at = meta.pop("session_id"), meta.pop("created_at")
+            check_value("session_id", str, session_id)
+            check_value("created_at", str, created_at)
+            plan, features = meta.pop("plan", None), meta.pop("features", None)
+            plan = None if plan is None else _plan_from_json(plan)
+            features = None if features is None else from_json(PathFeatures, features)
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptLine(1, f"bad metadata: {exc}") from exc
         samples, sample_extras = _load_samples(itertools.chain(rest, fh))
     return SessionRecord(

@@ -431,13 +431,13 @@ def test_config_file_unknown_key_exits_65(tmp_path):
 
 @pytest.mark.parametrize("seed, hop, needle", [
     ("1", '"capacity_bps": Infinity, "propagation_s": 0.01',
-     "hop 0: capacity_bps must be positive and finite, got inf"),
+     "hops[0]: capacity_bps must be positive and finite, got inf"),
     ("1", '"capacity_bps": 1e6, "note": "caf\udce9"', "{path}: 'utf-8' codec can't decode byte 0xe9"),
-    ("1", '"capacity_bps": true', "hop 0: capacity_bps must be a number, got True"),
-    ("1", '"capacity_bps": 1e6, "loss_prob": false', "hop 0: loss_prob must be a number, got False"),
+    ("1", '"capacity_bps": true', "hops[0]: capacity_bps must be a number, got True"),
+    ("1", '"capacity_bps": 1e6, "loss_prob": false', "hops[0]: loss_prob must be a number, got False"),
     ("true", '"capacity_bps": 1e6', "seed must be an integer, got True"),
-    ("1", '"capacity_bps": "1e6"', "hop 0: capacity_bps must be a number, got '1e6'"),
-    ("1", '"capacity_bps": 1e6, "propagation_s": null', "hop 0: propagation_s must be a number, got None"),
+    ("1", '"capacity_bps": "1e6"', "hops[0]: capacity_bps must be a number, got '1e6'"),
+    ("1", '"capacity_bps": 1e6, "propagation_s": null', "hops[0]: propagation_s must be a number, got None"),
 ], ids=["infinite capacity", "not utf-8", "true capacity", "false loss", "true seed",
         "string capacity", "null delay"])
 def test_simulate_refuses_a_bad_path_file_before_saving(tmp_path, capfd, seed, hop, needle):

@@ -225,7 +225,7 @@ def test_observations_name_the_first_bad_row():
 def test_observations_accept_the_float64_range():
     obs = Observations(("a", "b", "c"), [1, 2, 2**62], [0.0, 5e-324, 1.7976931348623157e308],
                        [-1.7976931348623157e308, -0.0, 1.7976931348623157e308])
-    assert len(obs) == 3 and obs[2][0].hop_count_n == 2**62
+    assert len(obs) == 3 and obs.hop_count_n.tolist()[2] == 2**62
     assert len(Observations((), [], [], [])) == 0
 
 
@@ -233,7 +233,10 @@ def test_observations_from_rows_round_trip():
     rows = synth_observations(1e-4, 5e-6, [(2, 500.0), (4, 1000.5), (8, 0.0)])
     obs = Observations.from_rows(rows)
     assert Observations.from_rows(obs) is obs
-    assert list(obs) == rows and obs[1] == rows[1] and list(obs[1:]) == rows[1:]
+    assert obs.path_id == tuple(f.path_id for f, _ in rows)
+    assert obs.hop_count_n.tolist() == [f.hop_count_n for f, _ in rows]
+    assert obs.route_length_l_km.tolist() == [f.route_length_l_km for f, _ in rows]
+    assert obs.a_s.tolist() == [a for _, a in rows]
     assert obs.hop_count_n.dtype == np.int64 and obs.a_s.dtype == np.float64
 
 

@@ -18,10 +18,8 @@ from deltaprobe.simulator import (
     fixed_overhead,
     ground_truth_rate,
     load_path_file,
-    make_rng,
     path_from_config,
     run_experiment,
-    simulate_probe,
 )
 
 
@@ -90,37 +88,26 @@ def test_ground_truth_harmonic_combination():
 
 def test_probe_noise_free_equals_fixed_delay():
     path = single_hop()
-    rng = make_rng(path.seed)
-    for _ in range(10):
-        assert simulate_probe(path, 800, rng) == fixed_delay(path, 800)
+    assert run_experiment(path, (800,), 10).rtt_s.tolist() == [fixed_delay(path, 800)] * 10
 
 
 def test_probe_delay_never_below_fixed_delay():
     path = single_hop(noise=0.005)
-    rng = make_rng(path.seed)
-    floor = fixed_delay(path, 8992)
-    for _ in range(1000):
-        delay = simulate_probe(path, 8992, rng)
-        assert delay >= floor
+    assert (run_experiment(path, (8992,), 1000).rtt_s >= fixed_delay(path, 8992)).all()
 
 
 def test_probe_loss_fraction_within_binomial_bounds():
     loss = 0.9
     path = single_hop(loss=loss, seed=42)
-    rng = make_rng(path.seed)
     n = 10_000
-    lost = sum(1 for _ in range(n) if simulate_probe(path, 800, rng) is None)
+    lost = int(run_experiment(path, (800,), n).lost.sum())
     sigma = math.sqrt(n * loss * (1 - loss))
     assert abs(lost - n * loss) < 3 * sigma
 
 
 def test_probe_stream_determinism():
     path = single_hop(noise=0.002, loss=0.1, seed=1234)
-    rng1 = make_rng(path.seed)
-    rng2 = make_rng(path.seed)
-    seq1 = [simulate_probe(path, 800, rng1) for _ in range(200)]
-    seq2 = [simulate_probe(path, 800, rng2) for _ in range(200)]
-    assert seq1 == seq2
+    assert run_experiment(path, (800,), 200) == run_experiment(path, (800,), 200)
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,22 @@ import csv
 import json
 import math
 import os
+import re
 import stat
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from conftest import make_sample
-from deltaprobe.errors import CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
+from deltaprobe.errors import ConfigError, CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
 from deltaprobe.estimator import BandwidthEstimate, estimate_pairwise, min_delay_profile
 from deltaprobe.intercept import InterceptModel, Observations, PathFeatures, fit_intercept_model
-from deltaprobe.probe import ProbePlan, ProbeSample
+from deltaprobe.probe import DEFAULT_UDP_PORT, ProbePlan
 from deltaprobe import store
 from deltaprobe.probe import SampleBatch
-from deltaprobe.simulator import Hop, SimPath
+from deltaprobe.simulator import Hop, SimPath, path_from_config
 from deltaprobe.stats import DelaySummary
 from deltaprobe.store import (
     CANONICAL_CSV_MAPPING,
@@ -106,6 +107,102 @@ def test_session_features_of_the_wrong_type_are_bad_metadata(tmp_path, field, va
     path.write_text(json.dumps(meta) + "\n" + "".join(samples))
     with pytest.raises(CorruptLine, match=f"^line 1: bad metadata: {message}$"):
         load_session(path)
+
+
+# Every field of the records a session or path file holds, by its JSON
+# kind: "sizes" is an array of integers, "hops" an array of Hop objects.
+_RECORD_FIELDS = {
+    "metadata": {"session_id": str, "created_at": str},
+    "Hop": {"capacity_bps": float, "propagation_s": float, "processing_s": float,
+            "queue_noise_mean_s": float, "loss_prob": float},
+    "SimPath": {"hops": "hops", "seed": int},
+    "ProbePlan": {"target": str, "sizes_payload_bytes": "sizes", "count_per_size": int,
+                  "inter_probe_gap_s": float, "timeout_s": float, "method": str, "udp_port": int},
+    "PathFeatures": {"path_id": str, "hop_count_n": int, "route_length_l_km": float},
+}
+_KIND = {int: "an integer", float: "a number", str: "a string"}
+_WRONG = {
+    int: (True, "x", 1.5, None, [1], {"n": 1}),
+    float: (True, "0.01", None, [0.01], {"x": 0.01}),
+    str: (5, True, 1.5, None, ["a"], {"a": "b"}),
+}
+# keys no record has; top-level metadata keys are kept as extras instead
+_UNKNOWN_KEYS = {"Hop": ("colour",), "SimPath": ("sede", "features"),
+                 "ProbePlan": ("colour",), "PathFeatures": ("colour",)}
+
+
+def _wrong_type_rows():
+    """(record, field, value, message) for each field and each wrong value
+    of its kind, and for each unknown key."""
+    for record, fields in _RECORD_FIELDS.items():
+        prefix = "hops[0]: " if record == "Hop" else ""
+        for field, kind in fields.items():
+            if kind in _WRONG:
+                for value in _WRONG[kind]:
+                    yield record, field, value, f"{prefix}{field} must be {_KIND[kind]}, got {value!r}"
+                continue
+            for value in (True, "x", 5, None, {"a": 1}):
+                yield record, field, value, f"{field} must be an array, got {value!r}"
+            if kind == "sizes":
+                for item in (True, "100", 100.5, None, [100], {"a": 1}):
+                    yield (record, field, [item, 1124],
+                           f"{field}[0] must be an integer, got {item!r}")
+            else:
+                for item in (True, "x", 5, None, [{"capacity_bps": 1e6}]):
+                    yield record, field, [item], f"hops[0]: Hop must be an object, got {item!r}"
+        for key in _UNKNOWN_KEYS.get(record, ()):
+            yield record, key, 1, f"{prefix}{record} has no field {key!r}"
+
+
+_WRONG_TYPE_ROWS = list(_wrong_type_rows())
+
+
+def test_the_wrong_type_table_covers_every_field():
+    for cls in (Hop, SimPath, ProbePlan, PathFeatures):
+        assert list(_RECORD_FIELDS[cls.__name__]) == [f.name for f in fields(cls)]
+    covered = {(record, field) for record, field, _, _ in _WRONG_TYPE_ROWS}
+    assert covered >= {(r, f) for r, fs in _RECORD_FIELDS.items() for f in fs}
+
+
+def _with_field(obj: dict, record: str, field: str, value) -> dict:
+    """`obj`, a session's metadata or a path config, with `field` of
+    `record` (its first hop for a Hop) set to `value`."""
+    plan = obj.get("plan", obj)  # a path config holds the fields of a sim plan
+    target = plan["hops"][0] if record == "Hop" else \
+        {"metadata": obj, "PathFeatures": obj.get("features")}.get(record, plan)
+    target[field] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "record, field, value, message", _WRONG_TYPE_ROWS,
+    ids=[f"{record}.{field}={value!r}" for record, field, value, _ in _WRONG_TYPE_ROWS])
+def test_a_json_field_of_the_wrong_type_is_refused(tmp_path, record, field, value, message):
+    path = tmp_path / "s.jsonl"
+    save_session(sample_record(), path)
+    meta, *samples = path.read_text().splitlines(keepends=True)
+    meta = json.loads(meta)
+    if record in ("SimPath", "Hop"):
+        meta["plan"] = {"type": "sim", "seed": 1, "hops": [{"capacity_bps": 1e6}]}
+        config = _with_field({"seed": 1, "hops": [{"capacity_bps": 1e6}]}, record, field, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            path_from_config(config)
+    path.write_text(json.dumps(_with_field(meta, record, field, value)) + "\n" + "".join(samples))
+    with pytest.raises(CorruptLine, match=f"^line 1: bad metadata: {re.escape(message)}$"):
+        load_session(path)
+
+
+def test_a_probe_plan_without_udp_port_loads_with_the_default(tmp_path):
+    # writers before udp_port was a plan field left it out
+    record = sample_record()
+    path = tmp_path / "s.jsonl"
+    save_session(record, path)
+    meta, *samples = path.read_text().splitlines(keepends=True)
+    meta = json.loads(meta)
+    del meta["plan"]["udp_port"]
+    path.write_text(json.dumps(meta) + "\n" + "".join(samples))
+    loaded = load_session(path)
+    assert loaded.plan.udp_port == DEFAULT_UDP_PORT and loaded == record
 
 
 def test_two_sessions_independent(tmp_path):
@@ -383,11 +480,7 @@ def test_read_observations(tmp_path):
         "path_id,n,l_km,a_s\np1,5,1000,0.0055\np2,10,2000,0.011\n"
     )
     obs = read_observations_csv(csv_path)
-    assert len(obs) == 2
-    features, a = obs[0]
-    assert features.hop_count_n == 5
-    assert features.route_length_l_km == 1000.0
-    assert a == 0.0055
+    assert _columns(obs) == [["p1", "p2"], [5, 10], [1000.0, 2000.0], [0.0055, 0.011]]
 
 
 def test_read_observations_missing_column(tmp_path):
@@ -738,16 +831,25 @@ def test_read_observations_names_a_bad_row(tmp_path):
         assert excinfo.value.line_number == 3
 
 
+def _columns(observations):
+    """An Observations batch, or the (PathFeatures, a_s) rows of one, as a
+    plain list per column."""
+    obs = Observations.from_rows(observations)
+    return [list(obs.path_id), obs.hop_count_n.tolist(), obs.route_length_l_km.tolist(),
+            obs.a_s.tolist()]
+
+
 def _reference_observations(path):
     """The row-wise reader the columnar one replaced: csv.DictReader and one
-    PathFeatures per row (a short row reads None, so a missing number cell
-    raises TypeError)."""
+    PathFeatures per row. A short row reads None: a missing number cell
+    raises TypeError, and a missing path_id reads "", as the columnar reader
+    reads it."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
         for row in reader:
             try:
-                features = PathFeatures(row["path_id"], int(row["n"]), float(row["l_km"]))
+                features = PathFeatures(row["path_id"] or "", int(row["n"]), float(row["l_km"]))
                 rows.append((features, float(row["a_s"])))
             except (TypeError, ValueError):
                 return reader.line_num
@@ -777,8 +879,7 @@ def test_columnar_observations_match_the_row_reader(tmp_path, count):
     obs = read_observations_csv(csv_path)
     assert isinstance(obs, Observations)
     want = _reference_observations(csv_path)
-    assert list(obs) == want and len(obs) == count
-    assert obs[3] == want[3] and obs[-1] == want[-1] and list(obs[2:5]) == want[2:5]
+    assert _columns(obs) == _columns(want) and len(obs) == count
     for include_constant in (False, True):
         model = fit_intercept_model(obs, include_constant=include_constant)
         coef, rms = _reference_fit(want, include_constant)
@@ -799,10 +900,7 @@ def test_observations_csv_reads_as_dictreader_does(tmp_path, text):
     csv_path = tmp_path / "obs.csv"
     csv_path.write_bytes(text.encode())
     want = _reference_observations(csv_path)
-    # DictReader gives None where a short row ends, the columnar reader ""
-    want = [(PathFeatures(f.path_id or "", f.hop_count_n, f.route_length_l_km), a)
-            for f, a in want]
-    assert list(read_observations_csv(csv_path)) == want
+    assert _columns(read_observations_csv(csv_path)) == _columns(want)
 
 
 @pytest.mark.parametrize("row, line, message", [
