@@ -294,6 +294,8 @@ class ProbePlan:
             raise InvalidProbePlan("timeout_s must exceed inter_probe_gap_s")
         if self.method not in (METHOD_ICMP, METHOD_UDP):
             raise InvalidProbePlan(f"unsupported probe method {self.method!r}")
+        if not 0 < self.udp_port < 65536:
+            raise InvalidProbePlan(f"udp_port must be in 1..65535, got {self.udp_port!r}")
 
 
 def wire_size(payload_bytes: int, method: str) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -72,6 +73,8 @@ class SessionRecord:
     sample_extras: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_value("session_id", str, self.session_id)
+        check_value("created_at", str, self.created_at)
         self.samples = SampleBatch.from_samples(self.samples)
 
 
@@ -94,9 +97,12 @@ def _plan_from_json(obj: dict) -> Union[ProbePlan, SimPath]:
     raise ValueError(f'plan must be an object of type "probe" or "sim", got {obj!r}')
 
 
+_COMPACT_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps makes one a call
+
+
 def dump_line(obj: dict) -> str:
     """`obj` as one compact line of JSON, keys sorted: equal records give equal bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _COMPACT_SORTED.encode(obj)
 
 
 def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
@@ -110,21 +116,23 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
         + ',"path_id":' + scalar(samples.path_id)
         + ',"payload_bytes":%d,"rtt_s":%s,"sent_at_us":%d,"seq":%d,"wire_bits":%d}\n'
     )
-    n = len(samples)
-    lost_text = ["false"] * n
-    rtt_text = list(map(repr, samples.rtt_s.tolist()))
+    lost_text = ["false"] * len(samples)
+    rtts = samples.rtt_s.tolist()
+    rtt_text = list(map(repr, rtts))
     for i in np.flatnonzero(samples.lost).tolist():
-        lost_text[i], rtt_text[i] = "true", "null"
-    seqs = samples.seq.tolist()
-    lines = list(map(template.__mod__, zip(
-        lost_text, samples.payload_bytes.tolist(), rtt_text,
-        samples.sent_at_us.tolist(), seqs, samples.wire_bits.tolist(),
-    )))
+        lost_text[i], rtt_text[i], rtts[i] = "true", "null", None
+    payload, sent, seqs, wire = (column.tolist() for column in (
+        samples.payload_bytes, samples.sent_at_us, samples.seq, samples.wire_bits))
+    lines = list(map(template.__mod__, zip(lost_text, payload, rtt_text, sent, seqs, wire)))
     if sample_extras:  # one lookup per row keeps the save linear in the extras
+        ids = {"method": samples.method, "path_id": samples.path_id}
         for i, seq in enumerate(seqs):
             extra = sample_extras.get(seq)
             if extra is not None:
-                lines[i] = dump_line({**record_dict(samples[i]), **extra}) + "\n"
+                lines[i] = dump_line({
+                    "lost": rtts[i] is None, **ids, "payload_bytes": payload[i], "rtt_s": rtts[i],
+                    "sent_at_us": sent[i], "seq": seq, "wire_bits": wire[i], **extra,
+                }) + "\n"
     return "".join(lines)
 
 
@@ -166,41 +174,46 @@ def _parse_line(line_no: int, text: str) -> dict:
 
 # A sample line exactly as _sample_lines writes it, with the JSON number
 # grammar, integers of at most 18 digits (np.fromstring saturates int64
-# silently), ASCII strings without escapes, and rtt_s null exactly when lost
-# is true.
+# silently), ASCII ids without escapes, and rtt_s null exactly when lost is
+# true. Its ids are literals, so it captures payload_bytes, rtt_s, and the
+# span from sent_at_us to wire_bits that _SPAN_TO_INTS makes three integers.
 _INT = rb"-?(?:0|[1-9][0-9]{0,17})"
-_SAMPLE_LINE = re.compile(
-    rb'^\{"lost":(?:(?P<lost>true)|false)'
-    rb',"method":"(?P<method>[\x20\x21\x23-\x5b\x5d-\x7e]*)"'
-    rb',"path_id":"(?P<path_id>[\x20\x21\x23-\x5b\x5d-\x7e]*)"'
-    rb',"payload_bytes":(?P<payload_bytes>' + _INT + rb')'
-    rb',"rtt_s":(?P<rtt_s>(?(lost)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
-    rb',"sent_at_us":(?P<sent_at_us>' + _INT + rb')'
-    rb',"seq":(?P<seq>' + _INT + rb')'
-    rb',"wire_bits":(?P<wire_bits>' + _INT + rb')\}\n',
-    re.MULTILINE,
-)
+_ID = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+_IDS = re.compile(rb'\{"lost":(?:true|false),"method":' + _ID + rb',"path_id":' + _ID)
+_SPAN_TO_INTS = (bytes.maketrans(b",:", b"  "), b'"seqwirbt_')
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_line(method: bytes, path_id: bytes) -> re.Pattern:
+    return re.compile(
+        rb'^\{"lost":(?:(true)|false),"method":"' + re.escape(method)
+        + rb'","path_id":"' + re.escape(path_id) + rb'","payload_bytes":(' + _INT + rb')'
+        rb',"rtt_s":((?(1)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+        rb',"sent_at_us":(' + _INT + rb',"seq":' + _INT + rb',"wire_bits":' + _INT + rb')\}\n',
+        re.MULTILINE,
+    )
 
 
 def _bulk_chunk(chunk: list[bytes], ids: Optional[tuple[str, str]]) -> Optional[tuple]:
-    """SampleBatch arguments for a chunk of lines that all match
-    _SAMPLE_LINE and share one (path_id, method), which must equal `ids`
+    """SampleBatch arguments for a chunk of lines that all match the sample
+    line of the first line's (path_id, method), which must equal `ids`
     unless that is None; parsed with one regex pass and two np.fromstring
     calls. None for any other chunk."""
-    if not (_SAMPLE_LINE.match(chunk[0]) and _SAMPLE_LINE.match(chunk[-1])):
+    if not (first := _IDS.match(chunk[0])):
+        return None
+    method, path_id = first.groups()
+    chunk_ids = (path_id.decode("ascii"), method.decode("ascii"))
+    line = _sample_line(method, path_id)
+    if ids not in (None, chunk_ids) or not (line.match(chunk[0]) and line.match(chunk[-1])):
         return None  # spares the scan on files of other lines, e.g. extra fields
-    matches = _SAMPLE_LINE.findall(b"".join(chunk))
+    matches = line.findall(b"".join(chunk))
     if len(matches) != len(chunk):
         return None
-    _, methods, path_ids, payload, rtts, sent, seqs, wire = zip(*matches)
-    if methods.count(methods[0]) != len(methods) or path_ids.count(path_ids[0]) != len(path_ids):
-        return None
-    chunk_ids = (path_ids[0].decode("ascii"), methods[0].decode("ascii"))
-    if ids is not None and chunk_ids != ids:
-        return None
-    ints = np.fromstring(b" ".join(seqs + payload + wire + sent), dtype=np.int64, sep=" ")
+    _, payload, rtts, spans = zip(*matches)
+    ints = np.fromstring(b" ".join(payload + spans).translate(*_SPAN_TO_INTS), dtype=np.int64, sep=" ")
+    sent, seqs, wire = ints[len(matches):].reshape(-1, 3).T
     rtt_s = np.fromstring(b" ".join(rtts).replace(b"null", b"nan"), dtype=np.float64, sep=" ")
-    return (*chunk_ids, *ints.reshape(4, len(matches)), rtt_s)
+    return (*chunk_ids, seqs, ints[:len(matches)], wire, sent, rtt_s)
 
 
 def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[tuple], list[int], dict[int, dict]]:

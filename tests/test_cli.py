@@ -637,6 +637,18 @@ def test_session_with_invalid_features_exits_65(sim_session, capsys):
         assert "CorruptLine: line 1: bad metadata" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", [0, 70000])
+def test_session_with_udp_port_out_of_range_exits_65(sim_session, capsys, port):
+    lines = sim_session.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["plan"] = {"type": "probe", "target": "x", "method": "udp_echo", "udp_port": port}
+    sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    assert main(["stats", "--json", str(sim_session)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: bad metadata: udp_port must be in 1..65535, got {port}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["stats", "estimate"])
 def test_session_with_nan_rtt_not_lost_exits_65(sim_session, capsys, command):
     lines = sim_session.read_text().splitlines()

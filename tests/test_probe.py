@@ -117,6 +117,16 @@ def test_plan_rejects_timeout_below_gap():
         ProbePlan(target="127.0.0.1", inter_probe_gap_s=0.5, timeout_s=0.2)
 
 
+@pytest.mark.parametrize("port", [0, 70000, -1])
+def test_plan_rejects_udp_port_out_of_range(port):
+    with pytest.raises(InvalidProbePlan, match=f"^udp_port must be in 1..65535, got {port}$"):
+        ProbePlan(target="127.0.0.1", udp_port=port)
+
+
+def test_plan_takes_the_udp_port_bounds():
+    assert [ProbePlan(target="127.0.0.1", udp_port=p).udp_port for p in (1, 65535)] == [1, 65535]
+
+
 def test_plan_defaults_follow_recommended_sizes():
     plan = ProbePlan(target="127.0.0.1")
     assert plan.sizes_payload_bytes == (100, 1124)

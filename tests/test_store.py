@@ -205,6 +205,14 @@ def test_a_probe_plan_without_udp_port_loads_with_the_default(tmp_path):
     assert loaded.plan.udp_port == DEFAULT_UDP_PORT and loaded == record
 
 
+@pytest.mark.parametrize("field", ["session_id", "created_at"])
+def test_a_session_record_with_a_metadata_string_of_the_wrong_type_is_not_built(tmp_path, field):
+    path = tmp_path / "s.jsonl"
+    with pytest.raises(TypeError, match=f"^{field} must be a string, got 7$"):
+        save_session(SessionRecord(**{**vars(sample_record()), field: 7}), path)
+    assert not path.exists()
+
+
 def test_two_sessions_independent(tmp_path):
     a = sample_record("a")
     b = sample_record("b")
@@ -781,6 +789,63 @@ def test_bulk_parse_falls_back_with_the_same_outcome(tmp_path, monkeypatch):
     _write(path, lines, end=b"")  # no final newline: the last chunk falls back
     outcome, bulk_chunks = _load_both_ways(path, monkeypatch)
     assert isinstance(outcome, SessionRecord) and bulk_chunks == 3
+
+
+def _session_of(tmp_path, path_id, n=10):
+    """A session of n samples of `path_id`, every fourth lost, and its lines."""
+    samples = [make_sample(1024 if k % 2 else 9216, None if k % 4 == 3 else 0.01 + k * 1e-6,
+                           seq=k, path_id=path_id) for k in range(n)]
+    path = tmp_path / "ids.jsonl"
+    save_session(SessionRecord(session_id="ids", created_at="t", plan=None, samples=samples), path)
+    return path, path.read_bytes().split(b"\n")[:-1]
+
+
+def test_bulk_parse_holds_a_path_id_of_regex_metacharacters_literally(tmp_path, monkeypatch):
+    # chunks of 4 sample lines: lines 2-5, 6-9 and 10-11
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    path, _ = _session_of(tmp_path, "a.b*c+(d)|[e]^$?{2}%")
+    record, bulk_chunks = _load_both_ways(path, monkeypatch)
+    assert record.samples.path_id == "a.b*c+(d)|[e]^$?{2}%" and bulk_chunks == 3
+
+
+@pytest.mark.parametrize("changed, line_no, want_bulk", [
+    ((7,), 7, 1), ((6, 7, 8, 9), 6, 1), ((11,), 11, 2),
+], ids=["mid-chunk", "a whole chunk", "last line"])
+def test_bulk_parse_refuses_a_path_id_an_unescaped_pattern_would_take(
+        tmp_path, monkeypatch, changed, line_no, want_bulk):
+    # chunks before the bad line's are parsed in bulk, and the load stops there
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    path, lines = _session_of(tmp_path, "a.c")
+    for k in changed:
+        lines[k - 1] = lines[k - 1].replace(b'"path_id":"a.c"', b'"path_id":"abc"')
+    _write(path, lines)
+    assert _load_both_ways(path, monkeypatch) == (line_no, want_bulk)
+
+
+@pytest.mark.parametrize("name, text, want_bulk, line_no", [
+    ("rtt_s", b"5e-05", 3, None),
+    ("rtt_s", b"1e+300", 3, None),
+    ("rtt_s", b"2.5E-3", 3, None),
+    ("sent_at_us", b"-5", 3, None),
+    # 19 digits, or outside the JSON grammar: the chunk is read line by line
+    ("sent_at_us", b"1" + b"0" * 18, 2, None),
+    ("wire_bits", b"1" + b"0" * 18, 2, None),
+    ("payload_bytes", b"1" + b"0" * 18, 1, 7),
+    ("wire_bits", b"0128", 1, 7),
+    ("seq", b"7.0", 1, 7),
+])
+def test_bulk_parse_takes_json_numbers_of_at_most_18_digits(
+        tmp_path, monkeypatch, name, text, want_bulk, line_no):
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    path, lines = _session_of(tmp_path, "host")
+    lines[6] = _replace_field(lines[6], name, text)  # line 7, in the second chunk
+    _write(path, lines)
+    outcome, bulk_chunks = _load_both_ways(path, monkeypatch)
+    assert bulk_chunks == want_bulk
+    if line_no is None:
+        assert getattr(outcome.samples, name)[5] == json.loads(text)
+    else:
+        assert outcome == line_no
 
 
 def test_load_numbers_lines_as_a_text_file_does(tmp_path, monkeypatch):
