@@ -222,16 +222,26 @@ def cmd_probe(args, cfg: CliConfig) -> None:
             print(f"estimate unavailable: {estimate_error}")
 
 
+# flags that only a CSV input reads, with their defaults
+_CSV_FLAGS = {"size_column": "size_bytes", "size_unit": "bytes", "delay_column": "delay_s",
+              "timestamp_column": None, "lost_column": None}
+
+
 def cmd_estimate(args, cfg: CliConfig) -> None:
     """Estimate bandwidth from a stored session or a CSV of delays."""
+    given = {name: getattr(args, name) for name in _CSV_FLAGS if getattr(args, name) is not None}
     if str(args.input).endswith(".csv"):
+        flags = {**_CSV_FLAGS, **given}
         samples = store.import_csv(args.input, {
-            "size": args.size_column,
-            "size_unit": args.size_unit,
-            "delay": args.delay_column,
-            "timestamp": args.timestamp_column,
-            "lost": args.lost_column,
+            "size": flags["size_column"],
+            "size_unit": flags["size_unit"],
+            "delay": flags["delay_column"],
+            "timestamp": flags["timestamp_column"],
+            "lost": flags["lost_column"],
         })
+    elif given:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        raise errors.UsageError(f"{flag} applies only to a .csv input")
     else:
         samples = store.load_session(args.input).samples
     if args.one_way_halve:
@@ -314,20 +324,30 @@ def cmd_calibrate(args, cfg: CliConfig) -> None:
 
 def cmd_stats(args, cfg: CliConfig) -> None:
     """Summarize delays of a stored session."""
-    if args.series and args.window < 2:
-        raise errors.UsageError(f"--window must be >= 2, got {args.window}")
+    if args.series:
+        window = 10 if args.window is None else args.window
+        if window < 2:
+            raise errors.UsageError(f"--window must be >= 2, got {window}")
+        if cfg.format == "json" and not args.output:
+            raise errors.UsageError("--series with --json needs --output: the series is CSV")
+    elif args.window is not None or args.output is not None:
+        flag = "--window" if args.window is not None else "--output"
+        raise errors.UsageError(f"{flag} applies only with --series")
     record = store.load_session(args.input)
     if args.series:
-        series = stats.jitter_series(record.samples, args.window)
+        series = stats.jitter_series(record.samples, window)
         lines = ["sent_at_us,jitter_s"]
         lines += [f"{ts},{jitter!r}" for ts, jitter in series]
         text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"series: {args.output} ({len(series)} windows)")
-        else:
+        if not args.output:
             print(text, end="")
+            return
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if cfg.format == "json":
+            _print_json({"series_file": str(args.output), "n_windows": len(series)})
+        else:
+            print(f"series: {args.output} ({len(series)} windows)")
         return
 
     summary = stats.summarize(record.samples)
@@ -396,11 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum non-lost samples per size (default 1)")
     p.add_argument("--one-way-halve", action="store_true",
                    help="halve delays to approximate one-way (assumes symmetry)")
-    p.add_argument("--size-column", default="size_bytes", metavar="COL")
-    p.add_argument("--size-unit", choices=["bytes", "bits"], default="bytes")
-    p.add_argument("--delay-column", default="delay_s", metavar="COL")
-    p.add_argument("--timestamp-column", default=None, metavar="COL")
-    p.add_argument("--lost-column", default=None, metavar="COL")
+    p.add_argument("--size-column", metavar="COL",
+                   help="CSV input: size column (default size_bytes)")
+    p.add_argument("--size-unit", choices=["bytes", "bits"],
+                   help="CSV input: unit of the size column (default bytes)")
+    p.add_argument("--delay-column", metavar="COL",
+                   help="CSV input: delay column in seconds (default delay_s)")
+    p.add_argument("--timestamp-column", metavar="COL",
+                   help="CSV input: send time column in microseconds (default none)")
+    p.add_argument("--lost-column", metavar="COL",
+                   help="CSV input: lost flag column (default none)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", parents=[writes],
@@ -422,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[writes], help="summarize a session")
     p.add_argument("input", help="session .jsonl file")
     p.add_argument("--series", action="store_true", help="emit a jitter time series (CSV)")
-    p.add_argument("--window", type=int, default=10, metavar="N",
-                   help="jitter window size (default 10)")
+    p.add_argument("--window", type=int, metavar="N",
+                   help="jitter window size, with --series (default 10)")
     p.set_defaults(func=cmd_stats)
 
     return parser

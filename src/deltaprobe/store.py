@@ -5,6 +5,11 @@ version, identifiers, plan, and optional path features, then one line per
 sample in seq order. Every sample line of a file has the same path_id and
 method. Unknown metadata keys and sample fields survive a load/save round
 trip untouched; the plan and features refuse keys they have no field for.
+
+A CSV file, of delays or of intercept observations, is read as
+csv.DictReader reads it, a leading UTF-8 BOM skipped. A plain file (no
+quote, one kind of line end, every row as wide as the header) is split
+once at commas and line ends; any other is read by csv.reader.
 """
 
 from __future__ import annotations
@@ -313,9 +318,10 @@ def load_session(path) -> SessionRecord:
 
 @contextlib.contextmanager
 def _open_csv(path):
-    """`path` opened as UTF-8 text for the csv module. A line that is not
-    UTF-8 raises CorruptLine naming it, counted as a text-mode file does."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """`path` opened as UTF-8 text for the csv module, a leading BOM
+    skipped. A line that is not UTF-8 raises CorruptLine naming it, counted
+    as a text-mode file does."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -326,39 +332,100 @@ def _open_csv(path):
             raise
 
 
-def _read_csv(path, columns) -> tuple[list[str], list[list[str]]]:
-    """The header and the non-blank rows of a CSV file whose header names
-    every one of `columns`. A file without a header, a column or a data row
-    raises EmptyFile or MissingColumn; a row the csv module refuses (a field
-    over its 131,072-character limit) raises CorruptLine naming its line."""
+def _check_header(path, header: Optional[list[str]], columns) -> None:
+    if header is None:
+        raise EmptyFile(f"{path}: no header row")
+    for column in columns:
+        if column not in header:
+            raise MissingColumn(f"{path}: column {column!r} not in header")
+
+
+def _csv_rows(path, columns) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a CSV file, read by csv.reader;
+    a row it refuses (a field over its 131,072-character limit) raises
+    CorruptLine naming its line."""
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None:
-                raise EmptyFile(f"{path}: no header row")
-            for column in columns:
-                if column not in header:
-                    raise MissingColumn(f"{path}: column {column!r} not in header")
+            _check_header(path, header, columns)
             rows = list(filter(None, reader))
         except csv.Error as exc:
             raise CorruptLine(reader.line_num, str(exc)) from exc
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
     return header, rows
 
 
-def _cells(header: list[str], rows: list[list[str]], name: str) -> list[str]:
-    """Column `name` as csv.DictReader reads it: the last column of that
-    name, and "" (a cell that does not parse) where a row is short."""
-    i = max(i for i, column in enumerate(header) if column == name)
+def _cells(rows: list[list[str]], i: int) -> list[str]:
+    """Column `i` of csv.reader's rows, "" (a cell that does not parse)
+    where a row is short."""
     return [row[i] if i < len(row) else "" for row in rows]
+
+
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))
+_LINE_END_TO_COMMA = (bytes.maketrans(b"\n", b","), b"\r")
+
+
+def _plain_rows(data: bytes) -> Optional[tuple[list[str], list[str]]]:
+    """The header and the data rows' cells, row after row, of a plain CSV
+    file: one without a quote or NUL, whose lines all end in "\\n" or all in
+    "\\r\\n" (the last may have no line end), none of them blank, with as
+    many fields as its header has and at least two. Such a file is split
+    once at line ends and commas, and its cells equal csv.reader's. None
+    for any other file, or one that is not UTF-8."""
+    if b'"' in data or b"\0" in data:
+        return None
+    separators = data.translate(None, _NOT_SEPARATORS)
+    first_end = separators.find(b"\n")
+    line_end = b"\r\n" if separators[first_end - 1:first_end] == b"\r" else b"\n"
+    line = separators[:first_end + 1]
+    width = len(line) - len(line_end) + 1
+    # with one field a blank line would show no separator
+    if width < 2 or line != b"," * (width - 1) + line_end:
+        return None
+    if not data.endswith(line_end):
+        separators += line_end
+    lines = len(separators) // len(line)
+    if separators != line * lines:
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit:  # a field over the limit is csv.reader's to refuse
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+        if np.diff(ends, prepend=-1, append=len(data)).max() > limit:
+            return None
+    try:  # every "\r" here is part of a line end
+        cells = data.translate(*_LINE_END_TO_COMMA).decode("utf-8-sig").split(",")
+    except UnicodeDecodeError:
+        return None
+    return cells[:width], cells[width:lines * width]
+
+
+def _read_csv(path, columns) -> dict[str, list[str]]:
+    """The cells of each of `columns` in the data rows of a CSV file, as
+    csv.DictReader reads them: blank lines are no rows, of two columns of
+    one name the last wins, and a short row reads "". A plain file (see
+    _plain_rows) is split once, any other is read by csv.reader. A leading
+    UTF-8 BOM is skipped. A file without a header, a column or a data row
+    raises EmptyFile or MissingColumn, a line that is not UTF-8 or a row
+    that csv.reader refuses CorruptLine naming its line."""
+    with open(path, "rb") as fh:
+        plain = _plain_rows(fh.read())
+    if plain is None:
+        header, rows = _csv_rows(path, columns)
+    else:
+        header, rows = plain
+        _check_header(path, header, columns)
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    last = {column: i for i, column in enumerate(header)}
+    if plain is None:
+        return {column: _cells(rows, last[column]) for column in columns}
+    return {column: rows[last[column]::len(header)] for column in columns}
 
 
 def _line_of_row(path, index: int) -> int:
     """The line on which data row `index` of a CSV file that _read_csv read
     ends, found by reading the file again."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header
         next(itertools.islice(filter(None, reader), index, None))
@@ -423,17 +490,17 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
         raise ValueError(f'size_unit must be "bytes" or "bits", got {size_unit!r}')
 
     columns = (mapping.get(key) for key in ("size", "delay", "timestamp", "lost"))
-    header, rows = _read_csv(path, [column for column in columns if column is not None])
+    cells = _read_csv(path, [column for column in columns if column is not None])
 
-    size, size_ok = _int_column(_cells(header, rows, mapping["size"]))
+    size, size_ok = _int_column(cells[mapping["size"]])
     wire_bits = size * 8 if size_unit == "bytes" else size
     kept = size_ok & (wire_bits >= 8)
 
-    index = np.arange(len(rows))
-    rtt_s = _float_column(_cells(header, rows, mapping["delay"]))
+    index = np.arange(len(size))
+    rtt_s = _float_column(cells[mapping["delay"]])
     bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
     if mapping.get("lost") is not None:
-        flags = _cells(header, rows, mapping["lost"])
+        flags = cells[mapping["lost"]]
         truthy = {c: c.strip().lower() in _TRUTHY for c in set(flags)}
         lost = np.fromiter(map(truthy.__getitem__, flags), bool, len(flags))
         bad_delay &= ~lost
@@ -442,12 +509,12 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
 
     sent_at_us = index
     if mapping.get("timestamp") is not None:
-        stamp, stamp_ok = _int_column(_cells(header, rows, mapping["timestamp"]))
+        stamp, stamp_ok = _int_column(cells[mapping["timestamp"]])
         sent_at_us = np.where(stamp_ok, stamp, index)
 
     bad_delays = int((bad_delay & kept).sum())
-    bad_sizes = len(rows) - int(kept.sum())
-    if bad_sizes == len(rows):
+    bad_sizes = len(size) - int(kept.sum())
+    if bad_sizes == len(size):
         raise EmptyFile(f"{path}: no row has a usable size")
     if bad_delays or bad_sizes:
         logger.warning(
@@ -490,9 +557,9 @@ def read_observations_csv(path) -> Observations:
     the last wins. A row that does not parse, breaks a PathFeatures rule or
     holds a non-finite l_km or a_s raises CorruptLine with its line number.
     """
-    header, rows = _read_csv(path, ("path_id", "n", "l_km", "a_s"))
-    path_id = _cells(header, rows, "path_id")
-    parsed = [_number_column(_cells(header, rows, name), dtype, name)
+    cells = _read_csv(path, ("path_id", "n", "l_km", "a_s"))
+    path_id = cells["path_id"]
+    parsed = [_number_column(cells[name], dtype, name)
               for name, dtype in (("n", np.int64), ("l_km", np.float64), ("a_s", np.float64))]
     errors = [e for _, e in parsed if e is not None]
     try:

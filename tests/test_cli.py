@@ -276,6 +276,21 @@ def test_stats_series_csv(sim_session, tmp_path, capsys):
     assert len(lines) == 1 + (80 - 8 + 1)
 
 
+def test_stats_series_json_prints_one_object(sim_session, tmp_path, capsys):
+    out_csv = tmp_path / "series.csv"
+    assert main(["stats", str(sim_session), "--series", "--output", str(out_csv)]) == 0
+    text = capsys.readouterr().out
+    assert text == f"series: {out_csv} (71 windows)\n"
+    config = tmp_path / "json.conf"
+    config.write_text("format=json\n")
+    for flag in (["--json"], ["--config", str(config)]):
+        assert main(["stats", str(sim_session), "--series", "--output", str(out_csv), *flag]) == 0
+        assert json.loads(capsys.readouterr().out) == {"series_file": str(out_csv), "n_windows": 71}
+        # without --output the series itself is stdout, which is CSV
+        assert main(["stats", str(sim_session), "--series", *flag]) == 64
+        assert capsys.readouterr().out == ""
+
+
 def test_stats_empty_session_exits_3(tmp_path, capsys):
     record = SessionRecord(session_id="empty", created_at="t", plan=None, samples=[])
     path = tmp_path / "empty.jsonl"
@@ -394,6 +409,47 @@ def test_duplicate_sizes_usage_error(tmp_path):
 def test_estimate_refuses_flags_it_would_ignore(adsl_csv, flags):
     # only simulate reads --seed, and estimate writes no file
     assert main(["estimate", str(adsl_csv), *flags]) == 64
+
+
+@pytest.mark.parametrize("flags", [
+    ["--size-column", "size_bytes"], ["--size-unit", "bytes"], ["--delay-column", "delay_s"],
+    ["--timestamp-column", "t"], ["--lost-column", "lost"],
+])
+def test_estimate_of_a_session_refuses_csv_flags(sim_session, capsys, flags):
+    assert main(["estimate", str(sim_session), *flags]) == 64
+    assert f"usage error: {flags[0]} applies only to a .csv input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--window", "5"], ["--window", "1"], ["--output", "x.csv"]])
+def test_stats_refuses_flags_it_would_ignore(sim_session, capsys, flags):
+    # without --series, stats reads no window and writes no file
+    assert main(["stats", str(sim_session), *flags]) == 64
+    assert f"usage error: {flags[0]} applies only with --series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("estimate", ["size_bytes,delay_s", "100,0.018", "1124,0.042"]),
+    ("calibrate", ["path_id,n,l_km,a_s", "p1,5,1000,0.0055", "p2,10,2000,0.011", "p3,3,10,0.3"]),
+])
+def test_a_csv_with_a_bom_reads_as_one_without(tmp_path, capsys, command, lines):
+    # Excel's "CSV UTF-8" files start with a BOM and end their lines in CRLF
+    out = []
+    for name, data in (("plain.csv", "\n".join(lines) + "\n"),
+                       ("bom.csv", "\ufeff" + "\r\n".join(lines) + "\r\n")):
+        (tmp_path / name).write_bytes(data.encode())
+        assert main([command, str(tmp_path / name), "--json"]
+                    + ["--output", str(tmp_path / "m.json")] * (command == "calibrate")) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+
+
+def test_estimate_csv_flags_take_their_defaults(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("size_bytes,delay_s,wire\n100,0.018,800\n1124,0.042,8992\n")
+    assert main(["estimate", str(path), "--json"]) == 0
+    default = capsys.readouterr().out
+    assert main(["estimate", str(path), "--json", "--size-column", "wire", "--size-unit", "bits"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_unknown_command_usage_error():

@@ -415,8 +415,10 @@ _CELLS_BY_COLUMN = {
 _ODD_CELLS = ["", " ", "abc", "nan", "inf", "1e400", "1_000", "1,5", "0x10", ' "2" ']
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
+def _import_against_the_reference(tmp_path, caplog, seed, plain):
+    """import_csv of a seeded file, with quoted cells, blank lines and
+    short rows or, if `plain`, with none and some files in CRLF, against
+    _reference_import."""
     rng = np.random.default_rng(seed)
     mapping = {"size": "size", "delay": "delay", "size_unit": ("bytes", "bits")[seed % 2]}
     header = ["size", "delay", "note", "size"]  # the last "size" column is the one read
@@ -427,7 +429,7 @@ def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
     odd = rng.random() < 0.7
     lines = [",".join(header)]
     for _ in range(int(rng.integers(1, 300))):
-        if rng.random() < 0.03:
+        if not plain and rng.random() < 0.03:
             lines.append("")  # a blank line is no row
             continue
         row = []
@@ -436,14 +438,18 @@ def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
             if odd and rng.random() < 0.15:
                 pool = _ODD_CELLS
             cell = str(rng.choice(pool))
-            if "," in cell or '"' in cell or rng.random() < 0.1:
+            if plain:
+                cell = cell.replace(",", ".").replace('"', "'")
+            elif "," in cell or '"' in cell or rng.random() < 0.1:
                 cell = '"' + cell.replace('"', '""') + '"'
             row.append(cell)
-        if rng.random() < 0.05:
+        if not plain and rng.random() < 0.05:
             row = row[:int(rng.integers(1, len(row)))]  # a short row
         lines.append(",".join(row))
     csv_path = tmp_path / "delays.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    end = "\r\n" if plain and seed % 3 == 0 else "\n"
+    csv_path.write_bytes((end.join(lines) + end).encode())
+    assert (store._plain_rows(csv_path.read_bytes()) is not None) == plain
 
     want, counts = _reference_import(csv_path, mapping)
     if not len(want):
@@ -458,6 +464,16 @@ def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
         assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
     warned = [r.args[1:] for r in caplog.records if "treated as lost" in r.getMessage()]
     assert warned == ([counts] if any(counts) else [])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
+    _import_against_the_reference(tmp_path, caplog, seed, plain=False)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_plain_import_csv_matches_a_row_wise_reference(tmp_path, caplog, seed):
+    _import_against_the_reference(tmp_path, caplog, seed, plain=True)
 
 
 def test_empty_delay_cells_take_the_one_numpy_parse(tmp_path, monkeypatch):
@@ -997,3 +1013,149 @@ def test_observations_csv_with_every_row_short(tmp_path):
     with pytest.raises(CorruptLine, match="a_s: could not convert") as excinfo:
         read_observations_csv(csv_path)
     assert excinfo.value.line_number == 2
+
+
+# ---------------------------------------------------------------------------
+# plain CSV files split at once against the csv.reader path
+# ---------------------------------------------------------------------------
+
+def _read_outcome(path, columns):
+    """What _read_csv makes of a file: its columns, or the error's type,
+    message and line number."""
+    try:
+        return store._read_csv(path, columns)
+    except (CorruptLine, EmptyFile, MissingColumn) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def _read_both_ways(path, columns, monkeypatch):
+    """The outcome of reading `columns` of `path` as it is, which must equal
+    that with the plain path forced off, and whether the plain path took
+    the file."""
+    real, plain = store._plain_rows, []
+
+    def counting(data):
+        rows = real(data)
+        plain.append(rows is not None)
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_plain_rows", counting)
+        fast = _read_outcome(path, columns)
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_plain_rows", lambda data: None)
+        slow = _read_outcome(path, columns)
+    assert fast == slow
+    return fast, plain == [True]
+
+
+_PLAIN_CELLS = ["", " ", "\t", "0.018", "-3", "1e-3", "nan", "x y", "é", "日本", "\ufeff"]
+
+
+def _defective(lines: list[str], at: int, defect: str) -> list[str]:
+    """`lines` with `defect` put into line `at`."""
+    lines = list(lines)
+    if defect == "short row":
+        lines[at] = lines[at].rsplit(",", 1)[0]
+    elif defect == "long row":
+        lines[at] += ",z"
+    elif defect == "blank line":
+        lines.insert(at, "")
+    elif defect == "lone CR":
+        lines[at] = "x\r" + lines[at]
+    elif defect == "NUL":
+        lines[at] += "\0"
+    elif defect == "quote":
+        lines[at] = '"q,' + lines[at].replace(",", '",', 1)
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_plain_csv_files_read_as_csv_reader_reads_them(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "t.csv"
+    for trial in range(8):
+        width = int(rng.integers(2, 6))
+        header = [str(rng.choice(["a", "b", "c", "é"])) for _ in range(width)]  # duplicates too
+        lines = [",".join(header)] + [
+            ",".join(str(rng.choice(_PLAIN_CELLS)) for _ in range(width))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        at = int(rng.integers(1, len(lines)))
+        end = ("\n", "\r\n")[trial % 2]
+        final = ("", end)[trial // 2 % 2]
+        bom = ("", "\ufeff")[trial // 4]
+        columns = sorted(set(header))
+        for defect in (None, "short row", "long row", "blank line", "lone CR", "NUL", "quote"):
+            text = end.join(_defective(lines, at, defect) if defect else lines)
+            path.write_bytes((bom + text + final).encode())
+            outcome, plain = _read_both_ways(path, columns, monkeypatch)
+            assert plain == (defect is None), (defect, text)
+            if isinstance(outcome, dict):
+                with open(path, encoding="utf-8-sig", newline="") as fh:
+                    rows = list(csv.DictReader(fh, restval=""))
+                assert outcome == {c: [row[c] for row in rows] for c in columns}, (defect, text)
+
+
+@pytest.mark.parametrize("data, plain, want", [
+    (b"a,b\n1,\n,2\n", True, ["", "2"]),  # empty cells
+    (b"a,b\r\n1,2", True, ["2"]),  # no final line end
+    (b"a,b\n", True, EmptyFile),  # no data row
+    (b"\xef\xbb\xbfa,b\r\n1,2\r\n", True, ["2"]),  # a leading BOM
+    (b"a,\xef\xbb\xbfb\n1,2\n", True, MissingColumn),  # a BOM elsewhere is part of its cell
+    (b"", False, EmptyFile),
+    (b"\xef\xbb\xbf", False, EmptyFile),
+    (b"a,b", False, EmptyFile),
+    (b"\na,b\n1,2\n", False, MissingColumn),  # a leading empty line is the header
+    (b"a,b\r\n1,2\n3,4\r\n", False, ["2", "4"]),  # mixed line ends
+    (b"a,b\n1,2\r", False, ["2"]),  # a lone CR at the end
+    (b"a,b\n1,2\nx", False, ["2", ""]),  # a short last line without a line end
+    (b"a,b\n1,\xff\n", False, CorruptLine),  # not UTF-8
+    (b"b\n1\n\n2\n", False, ["1", "2"]),  # one field, where a blank line shows no separator
+])
+def test_which_csv_files_are_plain(tmp_path, monkeypatch, data, plain, want):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    outcome, took_plain = _read_both_ways(path, ["b"], monkeypatch)
+    assert took_plain == plain
+    assert outcome[0] is want if isinstance(want, type) else outcome == {"b": want}
+
+
+def test_a_line_over_the_field_limit_goes_to_csv_reader(tmp_path, monkeypatch):
+    limit = csv.field_size_limit(64)
+    try:
+        path = tmp_path / "t.csv"
+        text = "size_bytes,delay_s\n" + "100,0.018\n" * 20  # longer than the limit
+        path.write_text(text)
+        assert _read_both_ways(path, ["delay_s"], monkeypatch)[1]
+        path.write_text(text + "1" * 40 + "," + "2" * 40 + "\n")  # a long line of short fields
+        outcome, plain = _read_both_ways(path, ["delay_s"], monkeypatch)
+        assert not plain and outcome["delay_s"][-1] == "2" * 40
+        path.write_text(text + "1," + "2" * 65 + "\n")
+        outcome, plain = _read_both_ways(path, ["delay_s"], monkeypatch)
+        assert not plain and outcome == (CorruptLine, "line 22: field larger than field limit (64)", 22)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_leading_bom_is_skipped_in_both_csv_formats(tmp_path, monkeypatch, quoted):
+    delays = ["size_bytes,delay_s,lost", "100,0.018,0", "1124,,1", "1124,0.042,0"]
+    observations = ["path_id,n,l_km,a_s", "p1,5,1000,0.0055", "p2,10,2000,0.011"]
+    if quoted:
+        delays[1], observations[1] = '"100",0.018,0', '"p1",5,1000,0.0055'
+    mapping = {"size": "size_bytes", "delay": "delay_s", "lost": "lost"}
+    lf, bom = tmp_path / "lf.csv", tmp_path / "bom.csv"
+    for lines, read in ((delays, lambda path: import_csv(path, mapping)),
+                        (observations, lambda path: _columns(read_observations_csv(path)))):
+        lf.write_text("\n".join(lines) + "\n")
+        bom.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
+        columns = lines[0].split(",")
+        outcome, plain = _read_both_ways(bom, columns, monkeypatch)
+        assert plain != quoted and outcome == _read_both_ways(lf, columns, monkeypatch)[0]
+        assert read(bom) == read(lf)
+
+    bom.write_bytes(("\ufeff" + "\r\n".join(observations + ["p3,0,1,1"]) + "\r\n").encode())
+    with pytest.raises(CorruptLine, match="hop_count_n must be >= 1") as excinfo:
+        read_observations_csv(bom)
+    assert excinfo.value.line_number == 4
