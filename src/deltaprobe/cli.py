@@ -322,10 +322,14 @@ def cmd_calibrate(args, cfg: CliConfig) -> None:
         print(f"model: {out_path}")
 
 
+# samples a jitter window of `stats --series` spans unless --window says
+_JITTER_WINDOW = 10
+
+
 def cmd_stats(args, cfg: CliConfig) -> None:
     """Summarize delays of a stored session."""
     if args.series:
-        window = 10 if args.window is None else args.window
+        window = _JITTER_WINDOW if args.window is None else args.window
         if window < 2:
             raise errors.UsageError(f"--window must be >= 2, got {window}")
         if cfg.format == "json" and not args.output:
@@ -416,16 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum non-lost samples per size (default 1)")
     p.add_argument("--one-way-halve", action="store_true",
                    help="halve delays to approximate one-way (assumes symmetry)")
+    csv_default = {name: default or "none" for name, default in _CSV_FLAGS.items()}
     p.add_argument("--size-column", metavar="COL",
-                   help="CSV input: size column (default size_bytes)")
+                   help=f"CSV input: size column (default {csv_default['size_column']})")
     p.add_argument("--size-unit", choices=["bytes", "bits"],
-                   help="CSV input: unit of the size column (default bytes)")
+                   help=f"CSV input: unit of the size column (default {csv_default['size_unit']})")
     p.add_argument("--delay-column", metavar="COL",
-                   help="CSV input: delay column in seconds (default delay_s)")
+                   help=f"CSV input: delay column in seconds "
+                        f"(default {csv_default['delay_column']})")
     p.add_argument("--timestamp-column", metavar="COL",
-                   help="CSV input: send time column in microseconds (default none)")
+                   help=f"CSV input: send time column in microseconds "
+                        f"(default {csv_default['timestamp_column']})")
     p.add_argument("--lost-column", metavar="COL",
-                   help="CSV input: lost flag column (default none)")
+                   help=f"CSV input: lost flag column (default {csv_default['lost_column']})")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", parents=[writes],
@@ -448,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="session .jsonl file")
     p.add_argument("--series", action="store_true", help="emit a jitter time series (CSV)")
     p.add_argument("--window", type=int, metavar="N",
-                   help="jitter window size, with --series (default 10)")
+                   help=f"jitter window size, with --series (default {_JITTER_WINDOW})")
     p.set_defaults(func=cmd_stats)
 
     return parser

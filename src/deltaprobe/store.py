@@ -14,9 +14,9 @@ once at commas and line ends; any other is read by csv.reader.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
+import io
 import itertools
 import json
 import logging
@@ -316,22 +316,6 @@ def load_session(path) -> SessionRecord:
     )
 
 
-@contextlib.contextmanager
-def _open_csv(path):
-    """`path` opened as UTF-8 text for the csv module, a leading BOM
-    skipped. A line that is not UTF-8 raises CorruptLine naming it, counted
-    as a text-mode file does."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                lines = (line for chunk in raw for line in chunk.splitlines())
-                for line_no, line in enumerate(lines, start=1):
-                    _decode(line_no, line)
-            raise
-
-
 def _check_header(path, header: Optional[list[str]], columns) -> None:
     if header is None:
         raise EmptyFile(f"{path}: no header row")
@@ -340,38 +324,44 @@ def _check_header(path, header: Optional[list[str]], columns) -> None:
             raise MissingColumn(f"{path}: column {column!r} not in header")
 
 
-def _csv_rows(path, columns) -> tuple[list[str], list[list[str]]]:
-    """The header and the non-blank rows of a CSV file, read by csv.reader;
-    a row it refuses (a field over its 131,072-character limit) raises
-    CorruptLine naming its line."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            _check_header(path, header, columns)
-            rows = list(filter(None, reader))
-        except csv.Error as exc:
-            raise CorruptLine(reader.line_num, str(exc)) from exc
-    return header, rows
-
-
 def _cells(rows: list[list[str]], i: int) -> list[str]:
     """Column `i` of csv.reader's rows, "" (a cell that does not parse)
     where a row is short."""
     return [row[i] if i < len(row) else "" for row in rows]
 
 
+def _csv_columns(path, data: bytes, columns):
+    """The header of the CSV file `path`, whose bytes are `data`, and a
+    function from a column's index to its cells in the non-blank rows, read
+    by csv.reader. The header is checked before the rows are read. A line
+    that is not UTF-8 raises CorruptLine naming it, counted as a text-mode
+    file does, and so does a row that csv.reader refuses (a field over its
+    131,072-character limit)."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader, None)
+        _check_header(path, header, columns)
+        rows = list(filter(None, reader))
+    except csv.Error as exc:
+        raise CorruptLine(reader.line_num, str(exc)) from exc
+    except UnicodeDecodeError:
+        for line_no, line in enumerate(data.splitlines(), start=1):
+            _decode(line_no, line)
+        raise
+    return header, functools.partial(_cells, rows)
+
+
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))
 _LINE_END_TO_COMMA = (bytes.maketrans(b"\n", b","), b"\r")
 
 
-def _plain_rows(data: bytes) -> Optional[tuple[list[str], list[str]]]:
-    """The header and the data rows' cells, row after row, of a plain CSV
-    file: one without a quote or NUL, whose lines all end in "\\n" or all in
-    "\\r\\n" (the last may have no line end), none of them blank, with as
-    many fields as its header has and at least two. Such a file is split
-    once at line ends and commas, and its cells equal csv.reader's. None
-    for any other file, or one that is not UTF-8."""
+def _plain_columns(path, data: bytes, columns):
+    """As _csv_columns, for a plain CSV file: one without a quote or NUL,
+    whose lines all end in "\\n" or all in "\\r\\n" (the last may have no
+    line end) with no other "\\r", none of them blank, with as many fields
+    as its header has and at least two. Such a file is split once at line
+    ends and commas, each column is a stride of the cells, and they equal
+    csv.reader's. None for any other file, or one that is not UTF-8."""
     if b'"' in data or b"\0" in data:
         return None
     separators = data.translate(None, _NOT_SEPARATORS)
@@ -382,10 +372,15 @@ def _plain_rows(data: bytes) -> Optional[tuple[list[str], list[str]]]:
     # with one field a blank line would show no separator
     if width < 2 or line != b"," * (width - 1) + line_end:
         return None
-    if not data.endswith(line_end):
+    ended = data.endswith(line_end)
+    if not ended:
         separators += line_end
     lines = len(separators) // len(line)
     if separators != line * lines:
+        return None
+    # "\r", a last field and "\n" also show a line end's separators, so
+    # each "\r" must start a "\r\n": one a line, none on an unended last
+    if len(line_end) == 2 and data.count(b"\r\n") != lines - (not ended):
         return None
     limit = csv.field_size_limit()
     if len(data) > limit:  # a field over the limit is csv.reader's to refuse
@@ -396,30 +391,27 @@ def _plain_rows(data: bytes) -> Optional[tuple[list[str], list[str]]]:
         cells = data.translate(*_LINE_END_TO_COMMA).decode("utf-8-sig").split(",")
     except UnicodeDecodeError:
         return None
-    return cells[:width], cells[width:lines * width]
+    header, cells = cells[:width], cells[width:lines * width]
+    _check_header(path, header, columns)
+    return header, lambda i: cells[i::width]
 
 
 def _read_csv(path, columns) -> dict[str, list[str]]:
     """The cells of each of `columns` in the data rows of a CSV file, as
     csv.DictReader reads them: blank lines are no rows, of two columns of
     one name the last wins, and a short row reads "". A plain file (see
-    _plain_rows) is split once, any other is read by csv.reader. A leading
-    UTF-8 BOM is skipped. A file without a header, a column or a data row
-    raises EmptyFile or MissingColumn, a line that is not UTF-8 or a row
-    that csv.reader refuses CorruptLine naming its line."""
+    _plain_columns) is split once, any other is read by csv.reader. A
+    leading UTF-8 BOM is skipped. A file without a header, a column or a
+    data row raises EmptyFile or MissingColumn, a line that is not UTF-8 or
+    a row that csv.reader refuses CorruptLine naming its line."""
     with open(path, "rb") as fh:
-        plain = _plain_rows(fh.read())
-    if plain is None:
-        header, rows = _csv_rows(path, columns)
-    else:
-        header, rows = plain
-        _check_header(path, header, columns)
-    if not rows:
+        data = fh.read()
+    header, column = _plain_columns(path, data, columns) or _csv_columns(path, data, columns)
+    last = {name: i for i, name in enumerate(header)}
+    cells = {name: column(last[name]) for name in columns}
+    if not cells[columns[0]]:  # every column has a cell a row
         raise EmptyFile(f"{path}: no data rows")
-    last = {column: i for i, column in enumerate(header)}
-    if plain is None:
-        return {column: _cells(rows, last[column]) for column in columns}
-    return {column: rows[last[column]::len(header)] for column in columns}
+    return cells
 
 
 def _line_of_row(path, index: int) -> int:

@@ -449,7 +449,7 @@ def _import_against_the_reference(tmp_path, caplog, seed, plain):
     csv_path = tmp_path / "delays.csv"
     end = "\r\n" if plain and seed % 3 == 0 else "\n"
     csv_path.write_bytes((end.join(lines) + end).encode())
-    assert (store._plain_rows(csv_path.read_bytes()) is not None) == plain
+    assert (store._plain_columns(csv_path, csv_path.read_bytes(), ()) is not None) == plain
 
     want, counts = _reference_import(csv_path, mapping)
     if not len(want):
@@ -1032,18 +1032,19 @@ def _read_both_ways(path, columns, monkeypatch):
     """The outcome of reading `columns` of `path` as it is, which must equal
     that with the plain path forced off, and whether the plain path took
     the file."""
-    real, plain = store._plain_rows, []
+    real, plain = store._plain_columns, []
 
-    def counting(data):
-        rows = real(data)
-        plain.append(rows is not None)
-        return rows
+    def counting(*args):
+        plain.append(True)  # kept if it raises: the header lacks a column
+        read = real(*args)
+        plain[-1] = read is not None
+        return read
 
     with monkeypatch.context() as patch:
-        patch.setattr(store, "_plain_rows", counting)
+        patch.setattr(store, "_plain_columns", counting)
         fast = _read_outcome(path, columns)
     with monkeypatch.context() as patch:
-        patch.setattr(store, "_plain_rows", lambda data: None)
+        patch.setattr(store, "_plain_columns", lambda *args: None)
         slow = _read_outcome(path, columns)
     assert fast == slow
     return fast, plain == [True]
@@ -1063,6 +1064,8 @@ def _defective(lines: list[str], at: int, defect: str) -> list[str]:
         lines.insert(at, "")
     elif defect == "lone CR":
         lines[at] = "x\r" + lines[at]
+    elif defect == "CR before the last field's LF":  # in a CRLF file, the separators of a line end
+        lines[at] += "\r7\n" + lines[at]
     elif defect == "NUL":
         lines[at] += "\0"
     elif defect == "quote":
@@ -1086,7 +1089,8 @@ def test_plain_csv_files_read_as_csv_reader_reads_them(tmp_path, monkeypatch, se
         final = ("", end)[trial // 2 % 2]
         bom = ("", "\ufeff")[trial // 4]
         columns = sorted(set(header))
-        for defect in (None, "short row", "long row", "blank line", "lone CR", "NUL", "quote"):
+        for defect in (None, "short row", "long row", "blank line", "lone CR",
+                       "CR before the last field's LF", "NUL", "quote"):
             text = end.join(_defective(lines, at, defect) if defect else lines)
             path.write_bytes((bom + text + final).encode())
             outcome, plain = _read_both_ways(path, columns, monkeypatch)
@@ -1109,6 +1113,9 @@ def test_plain_csv_files_read_as_csv_reader_reads_them(tmp_path, monkeypatch, se
     (b"\na,b\n1,2\n", False, MissingColumn),  # a leading empty line is the header
     (b"a,b\r\n1,2\n3,4\r\n", False, ["2", "4"]),  # mixed line ends
     (b"a,b\n1,2\r", False, ["2"]),  # a lone CR at the end
+    (b"a,b\r\n1124,0.042\r7\n3,4\r\n", False, ["0.042", "", "4"]),  # CR, a last field, LF
+    (b"a,b\r7\n1,2\r\n", False, ["", "2"]),  # the same after the header
+    (b"a,b\r\n1,\xc3\r\xa9\n3,4\r\n", False, CorruptLine),  # not UTF-8 around a CR
     (b"a,b\n1,2\nx", False, ["2", ""]),  # a short last line without a line end
     (b"a,b\n1,\xff\n", False, CorruptLine),  # not UTF-8
     (b"b\n1\n\n2\n", False, ["1", "2"]),  # one field, where a blank line shows no separator
