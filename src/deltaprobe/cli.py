@@ -46,15 +46,17 @@ class CliConfig:
 
     # 65535 bytes is the largest IPv4 packet
     sizes: tuple[int, ...] = _setting(
-        probe.DEFAULT_SIZES, size_list,
+        probe.ProbePlan.sizes_payload_bytes, size_list,
         lambda sizes: 0 < min(sizes) <= max(sizes) <= 65535 and len(set(sizes)) == len(sizes),
         "positive and distinct, each at most 65535 bytes")
-    count: int = _setting(30, int, lambda n: n >= 1, "at least 1")
-    gap: float = _setting(0.05, float, lambda s: 0 < s < math.inf, "positive and finite")
-    timeout: float = _setting(2.0, float, lambda s: 0 < s < math.inf, "positive and finite")
-    method: str = _setting(probe.METHOD_ICMP, str, _METHODS.__contains__,
+    count: int = _setting(probe.ProbePlan.count_per_size, int, lambda n: n >= 1, "at least 1")
+    gap: float = _setting(probe.ProbePlan.inter_probe_gap_s, float, lambda s: 0 < s < math.inf,
+                          "positive and finite")
+    timeout: float = _setting(probe.ProbePlan.timeout_s, float, lambda s: 0 < s < math.inf,
+                              "positive and finite")
+    method: str = _setting(probe.ProbePlan.method, str, _METHODS.__contains__,
                            "one of " + ", ".join(_METHODS))
-    udp_port: int = _setting(probe.DEFAULT_UDP_PORT, int, lambda p: 0 < p < 65536,
+    udp_port: int = _setting(probe.ProbePlan.udp_port, int, lambda p: 0 < p < 65536,
                              "in 1..65535")
     format: str = _setting("text", str, _FORMATS.__contains__, "one of " + ", ".join(_FORMATS))
     min_samples: int = _setting(1, int, lambda n: n >= 1, "at least 1")
@@ -154,6 +156,7 @@ def _print_estimate(est: estimator.BandwidthEstimate) -> None:
 
 def cmd_probe(args, cfg: CliConfig) -> None:
     """Probe a live target and persist the session."""
+    # built first: a plan the engine cannot run costs no hop discovery
     plan = probe.ProbePlan(
         target=args.target,
         sizes_payload_bytes=cfg.sizes,
@@ -170,9 +173,7 @@ def cmd_probe(args, cfg: CliConfig) -> None:
     if args.route_km is not None and not wants_features:
         raise errors.UsageError("--route-km needs --hop-count or --discover-hops")
     if wants_features:
-        hop_count = args.hop_count
-        if hop_count is None:
-            hop_count = probe.discover_hops(plan.target)
+        hop_count = probe.discover_hops(plan.target) if args.discover_hops else args.hop_count
         try:
             features = intercept.PathFeatures(
                 path_id=plan.target,
@@ -222,23 +223,18 @@ def cmd_probe(args, cfg: CliConfig) -> None:
             print(f"estimate unavailable: {estimate_error}")
 
 
-# flags that only a CSV input reads, with their defaults
-_CSV_FLAGS = {"size_column": "size_bytes", "size_unit": "bytes", "delay_column": "delay_s",
-              "timestamp_column": None, "lost_column": None}
+# import_csv's keywords and defaults, for the flags of `estimate` that only
+# a CSV input reads; taken at import, before a caller can wrap import_csv
+_CSV_DEFAULTS = dict(store.import_csv.__kwdefaults__)
 
 
 def cmd_estimate(args, cfg: CliConfig) -> None:
     """Estimate bandwidth from a stored session or a CSV of delays."""
-    given = {name: getattr(args, name) for name in _CSV_FLAGS if getattr(args, name) is not None}
-    if str(args.input).endswith(".csv"):
-        flags = {**_CSV_FLAGS, **given}
-        samples = store.import_csv(args.input, {
-            "size": flags["size_column"],
-            "size_unit": flags["size_unit"],
-            "delay": flags["delay_column"],
-            "timestamp": flags["timestamp_column"],
-            "lost": flags["lost_column"],
-        })
+    # a keyword without a flag reads None here and keeps its default
+    given = {name: getattr(args, name) for name in _CSV_DEFAULTS
+             if getattr(args, name, None) is not None}
+    if str(args.input).lower().endswith(".csv"):
+        samples = store.import_csv(args.input, **given)
     elif given:
         flag = "--" + next(iter(given)).replace("_", "-")
         raise errors.UsageError(f"{flag} applies only to a .csv input")
@@ -376,6 +372,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(errors.UsageError.exit_code, f"{self.prog}: error: {message}\n")
 
 
+def _help(text: str, value) -> str:
+    """A --help line: `text`, then the default `value` as a flag takes it."""
+    if isinstance(value, tuple):
+        value = ",".join(map(str, value))
+    return f"{text} (default {'none' if value is None else value})"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first call and shared after
@@ -395,20 +398,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "different-size probe packets",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    default = CliConfig()
 
     p = sub.add_parser("probe", parents=[writes], help="probe a live target")
     p.add_argument("target", help="host name or IPv4 address")
     p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
-                   help="payload sizes in bytes (default 100,1124)")
-    p.add_argument("--count", type=int, metavar="N", help="probes per size (default 30)")
-    p.add_argument("--gap", type=float, metavar="SEC", help="inter-probe gap (default 0.05)")
-    p.add_argument("--timeout", type=float, metavar="SEC", help="per-probe timeout (default 2.0)")
-    p.add_argument("--method", choices=_METHODS,
-                   help="echo method (default icmp_echo)")
+                   help=_help("payload sizes in bytes", default.sizes))
+    p.add_argument("--count", type=int, metavar="N", help=_help("probes per size", default.count))
+    p.add_argument("--gap", type=float, metavar="SEC", help=_help("inter-probe gap", default.gap))
+    p.add_argument("--timeout", type=float, metavar="SEC",
+                   help=_help("per-probe timeout", default.timeout))
+    p.add_argument("--method", choices=_METHODS, help=_help("echo method", default.method))
     p.add_argument("--udp-port", type=int, metavar="PORT", help="reflector port for udp_echo")
-    p.add_argument("--hop-count", type=int, metavar="N", help="attach a known hop count")
-    p.add_argument("--discover-hops", action="store_true",
-                   help="discover the hop count by TTL probing")
+    hops = p.add_mutually_exclusive_group()
+    hops.add_argument("--hop-count", type=int, metavar="N", help="attach a known hop count")
+    hops.add_argument("--discover-hops", action="store_true",
+                      help="discover the hop count by TTL probing")
     p.add_argument("--route-km", type=float, metavar="KM",
                    help="attach the route length in kilometers (needs a hop count)")
     p.set_defaults(func=cmd_probe)
@@ -417,30 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="estimate from a session file or CSV")
     p.add_argument("input", help="session .jsonl or .csv file")
     p.add_argument("--min-samples", type=int, metavar="N",
-                   help="minimum non-lost samples per size (default 1)")
+                   help=_help("minimum non-lost samples per size", default.min_samples))
     p.add_argument("--one-way-halve", action="store_true",
                    help="halve delays to approximate one-way (assumes symmetry)")
-    csv_default = {name: default or "none" for name, default in _CSV_FLAGS.items()}
     p.add_argument("--size-column", metavar="COL",
-                   help=f"CSV input: size column (default {csv_default['size_column']})")
+                   help=_help("CSV input: size column", _CSV_DEFAULTS["size_column"]))
     p.add_argument("--size-unit", choices=["bytes", "bits"],
-                   help=f"CSV input: unit of the size column (default {csv_default['size_unit']})")
+                   help=_help("CSV input: unit of the size column", _CSV_DEFAULTS["size_unit"]))
     p.add_argument("--delay-column", metavar="COL",
-                   help=f"CSV input: delay column in seconds "
-                        f"(default {csv_default['delay_column']})")
-    p.add_argument("--timestamp-column", metavar="COL",
-                   help=f"CSV input: send time column in microseconds "
-                        f"(default {csv_default['timestamp_column']})")
+                   help=_help("CSV input: delay column in seconds", _CSV_DEFAULTS["delay_column"]))
     p.add_argument("--lost-column", metavar="COL",
-                   help=f"CSV input: lost flag column (default {csv_default['lost_column']})")
+                   help=_help("CSV input: lost flag column", _CSV_DEFAULTS["lost_column"]))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", parents=[writes],
                        help="run the path simulator against ground truth")
     p.add_argument("path_config", help="path configuration JSON file")
     p.add_argument("--sizes", type=size_list, metavar="B1,B2,...",
-                   help="wire sizes in bytes (default 100,1124)")
-    p.add_argument("--count", type=int, metavar="N", help="probes per size (default 30)")
+                   help=_help("wire sizes in bytes", default.sizes))
+    p.add_argument("--count", type=int, metavar="N", help=_help("probes per size", default.count))
     p.add_argument("--seed", type=int, metavar="U64", help="RNG seed override")
     p.set_defaults(func=cmd_simulate)
 
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="session .jsonl file")
     p.add_argument("--series", action="store_true", help="emit a jitter time series (CSV)")
     p.add_argument("--window", type=int, metavar="N",
-                   help=f"jitter window size, with --series (default {_JITTER_WINDOW})")
+                   help=_help("jitter window size, with --series", _JITTER_WINDOW))
     p.set_defaults(func=cmd_stats)
 
     return parser

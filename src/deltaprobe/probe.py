@@ -51,7 +51,6 @@ ICMP_TIME_EXCEEDED = 11
 _PROBE_PREFIX = struct.Struct(">QL")
 MIN_PAYLOAD_BYTES = _PROBE_PREFIX.size
 
-DEFAULT_SIZES = (100, 1124)
 DEFAULT_UDP_PORT = 7777
 
 
@@ -266,10 +265,11 @@ Samples = Union[SampleBatch, Sequence[ProbeSample]]
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """Parameters of one probing session."""
+    """Parameters of one probing session, checked when built: every plan is
+    one that run_session can run. A refused one raises InvalidProbePlan."""
 
     target: str
-    sizes_payload_bytes: tuple[int, ...] = DEFAULT_SIZES
+    sizes_payload_bytes: tuple[int, ...] = (100, 1124)
     count_per_size: int = 30
     inter_probe_gap_s: float = 0.05
     timeout_s: float = 2.0
@@ -282,8 +282,6 @@ class ProbePlan:
         sizes = self.sizes_payload_bytes
         if not sizes:
             raise InvalidProbePlan("at least one probe size required")
-        if any(s <= 0 for s in sizes):
-            raise InvalidProbePlan(f"probe sizes must be positive, got {sizes}")
         if len(set(sizes)) != len(sizes):
             raise InvalidProbePlan(f"probe sizes must be distinct, got {sizes}")
         if self.count_per_size < 1:
@@ -296,6 +294,15 @@ class ProbePlan:
             raise InvalidProbePlan(f"unsupported probe method {self.method!r}")
         if not 0 < self.udp_port < 65536:
             raise InvalidProbePlan(f"udp_port must be in 1..65535, got {self.udp_port!r}")
+        if min(sizes) < MIN_PAYLOAD_BYTES:
+            raise InvalidProbePlan(f"payload must be at least {MIN_PAYLOAD_BYTES} bytes "
+                                   "(timestamp + nonce prefix)")
+        limit = IPV4_MAX_PACKET_BYTES - wire_size(0, self.method) // 8
+        if max(sizes) > limit:
+            raise InvalidProbePlan(f"payload must be at most {limit} bytes for {self.method} "
+                                   "(one IPv4 packet)")
+        if len(sizes) * self.count_per_size > 0xFFFF:
+            raise InvalidProbePlan("session too large: sequence numbers are 16-bit")
 
 
 def wire_size(payload_bytes: int, method: str) -> int:
@@ -536,20 +543,7 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatc
     every size samples the same congestion epoch. Raises AllProbesLost when
     no probe is answered.
     """
-    if min(plan.sizes_payload_bytes) < MIN_PAYLOAD_BYTES:
-        raise InvalidProbePlan(
-            f"payload must be at least {MIN_PAYLOAD_BYTES} bytes "
-            "(timestamp + nonce prefix)"
-        )
-    limit = IPV4_MAX_PACKET_BYTES - wire_size(0, plan.method) // 8
-    if max(plan.sizes_payload_bytes) > limit:
-        raise InvalidProbePlan(
-            f"payload must be at most {limit} bytes for {plan.method} (one IPv4 packet)"
-        )
     total = len(plan.sizes_payload_bytes) * plan.count_per_size
-    if total > 0xFFFF:
-        raise InvalidProbePlan("session too large: sequence numbers are 16-bit")
-
     dst_ip = _resolve(plan.target)
     nonce = int.from_bytes(os.urandom(4), "big")
     if plan.method == METHOD_ICMP:

@@ -38,14 +38,14 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-# Canonical CSV export columns, importable with this mapping.
+# Canonical CSV export columns, importable with import_csv(path, **CANONICAL_CSV_COLUMNS).
 CSV_COLUMNS = ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s", "lost")
-CANONICAL_CSV_MAPPING = {
-    "size": "wire_bits",
+CANONICAL_CSV_COLUMNS = {
+    "size_column": "wire_bits",
     "size_unit": "bits",
-    "delay": "rtt_s",
-    "timestamp": "sent_at_us",
-    "lost": "lost",
+    "delay_column": "rtt_s",
+    "timestamp_column": "sent_at_us",
+    "lost_column": "lost",
 }
 
 _sample_fields_of = operator.itemgetter(*SAMPLE_FIELDS)
@@ -463,36 +463,34 @@ def _int_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, values, 0).astype(np.int64), ok
 
 
-def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
+def import_csv(path, *, size_column: str = "size_bytes", size_unit: str = "bytes",
+               delay_column: str = "delay_s", timestamp_column: Optional[str] = None,
+               lost_column: Optional[str] = None, path_id: str = "import") -> SampleBatch:
     """Read externally collected size/delay rows into probe samples.
 
-    `mapping` names the columns: required keys "size" and "delay", optional
-    "timestamp" (microseconds) and "lost"; "size_unit" declares whether the
-    size column is in "bytes" (default) or "bits". Rows whose delay is not a
-    positive finite number, an empty or unparseable cell included, become
-    lost samples, as do rows whose lost cell reads 1, true, yes, y or lost
-    (any case, stripped); rows whose size does not parse are skipped. Both
-    are tallied in a single warning.
+    The keywords name the columns: the size, in `size_unit` "bytes" or
+    "bits", the delay in seconds, and optionally the send time in
+    microseconds and a lost flag. Rows whose delay is not a positive finite
+    number, an empty or unparseable cell included, become lost samples, as
+    do rows whose lost cell reads 1, true, yes, y or lost (any case,
+    stripped); rows whose size does not parse are skipped. Both are tallied
+    in a single warning.
     """
-    for key in ("size", "delay"):
-        if key not in mapping:
-            raise ValueError(f'mapping must name a "{key}" column')
-    size_unit = mapping.get("size_unit", "bytes")
     if size_unit not in ("bytes", "bits"):
         raise ValueError(f'size_unit must be "bytes" or "bits", got {size_unit!r}')
 
-    columns = (mapping.get(key) for key in ("size", "delay", "timestamp", "lost"))
+    columns = (size_column, delay_column, timestamp_column, lost_column)
     cells = _read_csv(path, [column for column in columns if column is not None])
 
-    size, size_ok = _int_column(cells[mapping["size"]])
+    size, size_ok = _int_column(cells[size_column])
     wire_bits = size * 8 if size_unit == "bytes" else size
     kept = size_ok & (wire_bits >= 8)
 
     index = np.arange(len(size))
-    rtt_s = _float_column(cells[mapping["delay"]])
+    rtt_s = _float_column(cells[delay_column])
     bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
-    if mapping.get("lost") is not None:
-        flags = cells[mapping["lost"]]
+    if lost_column is not None:
+        flags = cells[lost_column]
         truthy = {c: c.strip().lower() in _TRUTHY for c in set(flags)}
         lost = np.fromiter(map(truthy.__getitem__, flags), bool, len(flags))
         bad_delay &= ~lost
@@ -500,8 +498,8 @@ def import_csv(path, mapping: dict, *, path_id: str = "import") -> SampleBatch:
     rtt_s[bad_delay] = np.nan
 
     sent_at_us = index
-    if mapping.get("timestamp") is not None:
-        stamp, stamp_ok = _int_column(cells[mapping["timestamp"]])
+    if timestamp_column is not None:
+        stamp, stamp_ok = _int_column(cells[timestamp_column])
         sent_at_us = np.where(stamp_ok, stamp, index)
 
     bad_delays = int((bad_delay & kept).sum())

@@ -41,7 +41,7 @@ from deltaprobe.simulator import (
 )
 from deltaprobe.stats import summarize
 from deltaprobe.store import (
-    CANONICAL_CSV_MAPPING,
+    CANONICAL_CSV_COLUMNS,
     SessionRecord,
     export_csv,
     import_csv,
@@ -271,7 +271,7 @@ def test_criterion_9_round_trip_fidelity(tmp_path):
 
         csv_path = tmp_path / f"rt{i}.csv"
         export_csv(samples, csv_path)
-        back = import_csv(csv_path, CANONICAL_CSV_MAPPING)
+        back = import_csv(csv_path, **CANONICAL_CSV_COLUMNS)
         assert [s.wire_bits for s in back] == [s.wire_bits for s in samples]
         assert [s.rtt_s for s in back] == [s.rtt_s for s in samples]
         assert [s.lost for s in back] == [s.lost for s in samples]

@@ -10,8 +10,8 @@ import pytest
 
 import deltaprobe
 from conftest import make_sample
-from deltaprobe import probe
-from deltaprobe.cli import format_bitrate, main
+from deltaprobe import cli, probe, store
+from deltaprobe.cli import CliConfig, format_bitrate, main
 from deltaprobe.reflector import serve
 from deltaprobe.simulator import Hop, SimPath, run_experiment
 from deltaprobe.store import SessionRecord, load_session, save_session
@@ -413,7 +413,7 @@ def test_estimate_refuses_flags_it_would_ignore(adsl_csv, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--size-column", "size_bytes"], ["--size-unit", "bytes"], ["--delay-column", "delay_s"],
-    ["--timestamp-column", "t"], ["--lost-column", "lost"],
+    ["--lost-column", "lost"],
 ])
 def test_estimate_of_a_session_refuses_csv_flags(sim_session, capsys, flags):
     assert main(["estimate", str(sim_session), *flags]) == 64
@@ -441,6 +441,65 @@ def test_a_csv_with_a_bom_reads_as_one_without(tmp_path, capsys, command, lines)
                     + ["--output", str(tmp_path / "m.json")] * (command == "calibrate")) == 0
         out.append(capsys.readouterr().out)
     assert out[0] == out[1]
+
+
+def test_a_csv_suffix_is_read_in_any_case(tmp_path, capsys):
+    out = []
+    for name in ("lower.csv", "UP.CSV", "Mixed.Csv"):
+        path = tmp_path / name
+        path.write_text("size_bytes,delay_s,lost\n100,0.018,0\n1124,0.042,0\n1124,,1\n")
+        for flags in ([], ["--lost-column", "lost"]):
+            assert main(["estimate", str(path), "--json", *flags]) == 0
+            out.append(capsys.readouterr().out)
+    assert out[0::2] == out[:1] * 3 and out[1::2] == out[1:2] * 3
+
+
+def test_each_csv_flag_reaches_import_csv(tmp_path, capsys):
+    default = tmp_path / "default.csv"
+    default.write_text("size_bytes,delay_s\n100,0.018\n1124,0.042\n")
+    # sizes in bits, and a row that only its lost cell keeps from the minimum
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("w,d,x\n800,0.018,0\n8992,0.042,0\n8992,0.001,1\n")
+    flags = {"--size-column": "w", "--size-unit": "bits", "--delay-column": "d",
+             "--lost-column": "x"}
+    assert main(["estimate", str(default), "--json"]) == 0
+    want = capsys.readouterr().out
+    # with every flag the two files read alike, and without any one they do not
+    for left_out in (None, *flags):
+        argv = [item for flag, value in flags.items() if flag != left_out for item in (flag, value)]
+        code = main(["estimate", str(renamed), "--json", *argv])
+        out = capsys.readouterr().out
+        assert (code == 0 and out == want) == (left_out is None), left_out
+
+
+def _shown(value) -> str:
+    """A default as --help shows it."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
+
+
+_CSV_DEFAULTS = store.import_csv.__kwdefaults__
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("probe", {"--sizes": CliConfig.sizes, "--count": CliConfig.count, "--gap": CliConfig.gap,
+               "--timeout": CliConfig.timeout, "--method": CliConfig.method}),
+    ("estimate", {"--min-samples": CliConfig.min_samples,
+                  **{"--" + name.replace("_", "-"): _CSV_DEFAULTS[name]
+                     for name in ("size_column", "size_unit", "delay_column", "lost_column")}}),
+    ("simulate", {"--sizes": CliConfig.sizes, "--count": CliConfig.count}),
+    ("calibrate", {}),
+    ("stats", {"--window": cli._JITTER_WINDOW}),
+])
+def test_help_shows_the_defaults_the_code_holds(capsys, command, defaults):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # as if never wrapped
+    assert text.count("(default ") == len(defaults)
+    for flag, value in defaults.items():
+        # the last mention of a flag is its entry, after the usage line
+        entry = text[text.rindex(f" {flag} "):]
+        assert entry.split("(default ", 1)[1].split(")", 1)[0] == _shown(value), flag
 
 
 def test_estimate_csv_flags_take_their_defaults(tmp_path, capsys):
@@ -579,18 +638,22 @@ def test_config_file_values_are_checked(tmp_path, capsys, config, needle):
     ("count=40000", "session too large: sequence numbers are 16-bit"),
     ("sizes=100,65508", "payload must be at most 65507 bytes for udp_echo (one IPv4 packet)"),
 ])
-@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("via", ["flag", "config", "flag with --discover-hops"])
 def test_probe_plan_the_engine_refuses_exits_64(tmp_path, capfd, monkeypatch, setting, needle, via):
     # simulate accepts these values: the probe engine is what refuses them,
-    # before it opens a socket
+    # before it opens a socket or discovers a hop
     def send_nothing(*_):
         raise AssertionError("a probe was sent")
 
+    def discover_nothing(target):
+        raise AssertionError(f"hops to {target} were discovered")
+
     monkeypatch.setattr(deltaprobe.probe, "_run_echo_loop", send_nothing)
+    monkeypatch.setattr(deltaprobe.probe, "discover_hops", discover_nothing)
     argv = ["probe", "127.0.0.1", "--method", "udp_echo", "--output", str(tmp_path / "s.jsonl")]
     key, value = setting.split("=")
-    if via == "flag":
-        argv += [f"--{key}", value]
+    if via != "config":
+        argv += [f"--{key}", value] + ["--discover-hops"] * (via != "flag")
     else:
         config_file = tmp_path / "deltaprobe.conf"
         config_file.write_text(setting + "\n")
@@ -629,6 +692,21 @@ def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeyp
     out, err = capfd.readouterr()
     assert out == "" and "Traceback" not in err
     assert f"deltaprobe: usage error: {needle}\n" in err
+    assert not out_file.exists()
+
+
+def test_probe_refuses_a_hop_count_with_discover_hops(tmp_path, capfd, monkeypatch):
+    def no_call(*_, **__):
+        raise AssertionError("hops were discovered or a session was sent")
+
+    monkeypatch.setattr(probe, "discover_hops", no_call)
+    monkeypatch.setattr(probe, "run_session", no_call)
+    out_file = tmp_path / "s.jsonl"
+    for flags in (["--hop-count", "5", "--discover-hops"], ["--discover-hops", "--hop-count", "5"]):
+        assert main(["probe", "127.0.0.1", "--output", str(out_file), *flags]) == 64
+        out, err = capfd.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "not allowed with argument" in err
     assert not out_file.exists()
 
 
@@ -703,6 +781,23 @@ def test_session_with_udp_port_out_of_range_exits_65(sim_session, capsys, port):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line 1: bad metadata: udp_port must be in 1..65535, got {port}" in captured.err
+
+
+@pytest.mark.parametrize("plan, needle", [
+    ({"sizes_payload_bytes": [8, 100]}, "payload must be at least 12 bytes"),
+    ({"sizes_payload_bytes": [100, 65508], "method": "udp_echo"},
+     "payload must be at most 65507 bytes for udp_echo"),
+    ({"count_per_size": 40000}, "session too large: sequence numbers are 16-bit"),
+])
+def test_session_with_a_plan_the_engine_cannot_run_exits_65(sim_session, capsys, plan, needle):
+    lines = sim_session.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["plan"] = {"type": "probe", "target": "x", **plan}
+    sim_session.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    assert main(["stats", "--json", str(sim_session)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: bad metadata: {needle}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["stats", "estimate"])

@@ -182,9 +182,8 @@ def test_udp_session_all_lost_without_reflector():
 
 
 def test_session_rejects_tiny_payload():
-    plan = ProbePlan(target="127.0.0.1", sizes_payload_bytes=(8, 100))
     with pytest.raises(ValueError):
-        run_session(plan)
+        run_session(ProbePlan(target="127.0.0.1", sizes_payload_bytes=(8, 100)))
 
 
 @pytest.mark.parametrize("method", ["icmp_echo", "udp_echo"])

@@ -20,7 +20,7 @@ from deltaprobe.probe import SampleBatch
 from deltaprobe.simulator import Hop, SimPath, path_from_config
 from deltaprobe.stats import DelaySummary
 from deltaprobe.store import (
-    CANONICAL_CSV_MAPPING,
+    CANONICAL_CSV_COLUMNS,
     SessionRecord,
     export_csv,
     import_csv,
@@ -301,7 +301,7 @@ def test_property_round_trip_randomized_sessions(tmp_path):
 def test_import_adsl_csv_feeds_pairwise(tmp_path):
     csv_path = tmp_path / "adsl.csv"
     csv_path.write_text("size_bytes,delay_s\n100,0.018\n1124,0.042\n")
-    samples = import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+    samples = import_csv(csv_path)
     assert [s.wire_bits for s in samples] == [800, 8992]
     profile = min_delay_profile(samples, 1)
     est = estimate_pairwise(*profile.points)
@@ -312,23 +312,23 @@ def test_import_missing_delay_column(tmp_path):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text("size_bytes,rtt\n100,0.018\n")
     with pytest.raises(MissingColumn):
-        import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+        import_csv(csv_path)
 
 
 def test_import_empty_file(tmp_path):
     csv_path = tmp_path / "empty.csv"
     csv_path.write_text("")
     with pytest.raises(EmptyFile):
-        import_csv(csv_path, {"size": "s", "delay": "d"})
+        import_csv(csv_path, size_column="s", delay_column="d")
     csv_path.write_text("size_bytes,delay_s\n")
     with pytest.raises(EmptyFile):
-        import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+        import_csv(csv_path)
 
 
 def test_import_unparseable_delay_becomes_lost(tmp_path):
     csv_path = tmp_path / "mixed.csv"
     csv_path.write_text("size_bytes,delay_s\n100,0.018\n100,n/a\n1124,0.042\n")
-    samples = import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+    samples = import_csv(csv_path)
     assert len(samples) == 3
     assert [s.lost for s in samples] == [False, True, False]
 
@@ -336,16 +336,14 @@ def test_import_unparseable_delay_becomes_lost(tmp_path):
 def test_import_bits_unit(tmp_path):
     csv_path = tmp_path / "bits.csv"
     csv_path.write_text("wire,delay\n800,0.018\n8992,0.042\n")
-    samples = import_csv(csv_path, {"size": "wire", "size_unit": "bits", "delay": "delay"})
+    samples = import_csv(csv_path, size_column="wire", size_unit="bits", delay_column="delay")
     assert [s.wire_bits for s in samples] == [800, 8992]
 
 
 def test_import_lost_column(tmp_path):
     csv_path = tmp_path / "lost.csv"
     csv_path.write_text("size_bytes,delay_s,lost\n100,0.018,0\n100,,1\n")
-    samples = import_csv(
-        csv_path, {"size": "size_bytes", "delay": "delay_s", "lost": "lost"}
-    )
+    samples = import_csv(csv_path, lost_column="lost")
     assert [s.lost for s in samples] == [False, True]
 
 
@@ -355,7 +353,7 @@ def test_export_import_preserves_size_delay_lost(tmp_path):
         record = random_record(rng, f"e{i}")
         csv_path = tmp_path / f"e{i}.csv"
         export_csv(record.samples, csv_path)
-        back = import_csv(csv_path, CANONICAL_CSV_MAPPING)
+        back = import_csv(csv_path, **CANONICAL_CSV_COLUMNS)
         assert len(back) == len(record.samples)
         for orig, imported in zip(record.samples, back):
             assert imported.wire_bits == orig.wire_bits
@@ -364,7 +362,7 @@ def test_export_import_preserves_size_delay_lost(tmp_path):
             assert imported.sent_at_us == orig.sent_at_us
 
 
-def _reference_import(path, mapping):
+def _reference_import(path, columns):
     """import_csv row by row, as its docstring states the rules, on
     csv.DictReader: the last column of a name wins and a short row reads "".
     Returns the expected SampleBatch and the warning's two counts."""
@@ -380,27 +378,29 @@ def _reference_import(path, mapping):
 
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh, restval=""))
-    columns = {name: [] for name in ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")}
+    values_of = {name: [] for name in ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")}
     bad_delays = bad_sizes = 0
     for index, row in enumerate(rows):
-        size = integer(row[mapping["size"]])
-        wire_bits = None if size is None else size * (8 if mapping["size_unit"] == "bytes" else 1)
+        size = integer(row[columns["size_column"]])
+        wire_bits = None if size is None else size * (8 if columns["size_unit"] == "bytes" else 1)
         if wire_bits is None or wire_bits < 8:
             bad_sizes += 1
             continue
-        rtt = number(row[mapping["delay"]])
-        if "lost" in mapping and row[mapping["lost"]].strip().lower() in {"1", "true", "yes", "y", "lost"}:
+        rtt = number(row[columns["delay_column"]])
+        if ("lost_column" in columns
+                and row[columns["lost_column"]].strip().lower() in {"1", "true", "yes", "y", "lost"}):
             rtt = math.nan
         elif not 0 < rtt < math.inf:
             bad_delays += 1
             rtt = math.nan
-        stamp = integer(row[mapping["timestamp"]]) if "timestamp" in mapping else None
-        for name, value in zip(columns, (index, wire_bits // 8, wire_bits,
-                                         index if stamp is None else stamp, rtt)):
-            columns[name].append(value)
+        stamp = (integer(row[columns["timestamp_column"]]) if "timestamp_column" in columns
+                 else None)
+        for name, value in zip(values_of, (index, wire_bits // 8, wire_bits,
+                                           index if stamp is None else stamp, rtt)):
+            values_of[name].append(value)
     batch = SampleBatch("import", "imported", *(
         np.array(values, dtype=np.float64 if name == "rtt_s" else np.int64)
-        for name, values in columns.items()))
+        for name, values in values_of.items()))
     return batch, (bad_delays, bad_sizes)
 
 
@@ -420,11 +420,12 @@ def _import_against_the_reference(tmp_path, caplog, seed, plain):
     short rows or, if `plain`, with none and some files in CRLF, against
     _reference_import."""
     rng = np.random.default_rng(seed)
-    mapping = {"size": "size", "delay": "delay", "size_unit": ("bytes", "bits")[seed % 2]}
+    columns = {"size_column": "size", "delay_column": "delay",
+               "size_unit": ("bytes", "bits")[seed % 2]}
     header = ["size", "delay", "note", "size"]  # the last "size" column is the one read
     for bit, key in ((2, "lost"), (4, "timestamp")):
         if seed & bit:
-            mapping[key] = key
+            columns[key + "_column"] = key
             header.insert(int(rng.integers(0, len(header) + 1)), key)
     odd = rng.random() < 0.7
     lines = [",".join(header)]
@@ -451,13 +452,13 @@ def _import_against_the_reference(tmp_path, caplog, seed, plain):
     csv_path.write_bytes((end.join(lines) + end).encode())
     assert (store._plain_columns(csv_path, csv_path.read_bytes(), ()) is not None) == plain
 
-    want, counts = _reference_import(csv_path, mapping)
+    want, counts = _reference_import(csv_path, columns)
     if not len(want):
         with pytest.raises(EmptyFile):
-            import_csv(csv_path, mapping)
+            import_csv(csv_path, **columns)
         return
     with caplog.at_level("WARNING", logger="deltaprobe.store"):
-        got = import_csv(csv_path, mapping)
+        got = import_csv(csv_path, **columns)
     assert (got.path_id, got.method) == (want.path_id, want.method)
     for name in ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s"):
         column, expected = getattr(got, name), getattr(want, name)
@@ -480,16 +481,16 @@ def test_empty_delay_cells_take_the_one_numpy_parse(tmp_path, monkeypatch):
     calls = []
     float_or_nan = store._float_or_nan
     monkeypatch.setattr(store, "_float_or_nan", lambda text: calls.append(text) or float_or_nan(text))
-    mapping = {"size": "size_bytes", "delay": "delay_s", "lost": "lost", "timestamp": "t"}
+    columns = {"lost_column": "lost", "timestamp_column": "t"}
     csv_path = tmp_path / "lossy.csv"
     csv_path.write_text("size_bytes,delay_s,lost,t\n100,0.018,0,5\n100,,1,\n1124,,0,7\n1124,0.042,0,9\n")
-    samples = import_csv(csv_path, mapping)
+    samples = import_csv(csv_path, **columns)
     assert calls == []
     assert [s.lost for s in samples] == [False, True, True, False]
     assert samples.sent_at_us.tolist() == [5, 1, 7, 9]
 
     csv_path.write_text("size_bytes,delay_s,lost,t\n100,0.018,0,5\n100,abc,0,6\n1124,0.042,0,9\n")
-    samples = import_csv(csv_path, mapping)
+    samples = import_csv(csv_path, **columns)
     assert "abc" in calls
     assert np.isnan(samples.rtt_s[1]) and samples.rtt_s[[0, 2]].tolist() == [0.018, 0.042]
 
@@ -893,7 +894,7 @@ def test_invalid_utf8_names_the_line(tmp_path):
     csv_path = tmp_path / "delays.csv"
     csv_path.write_bytes(b"size_bytes,delay_s\n100,0.018\r\n100,\xff0.02\n1124,0.042\n")
     with pytest.raises(CorruptLine, match="invalid UTF-8") as excinfo:
-        import_csv(csv_path, {"size": "size_bytes", "delay": "delay_s"})
+        import_csv(csv_path)
     assert excinfo.value.line_number == 3
 
     csv_path = tmp_path / "obs.csv"
@@ -1151,9 +1152,8 @@ def test_a_leading_bom_is_skipped_in_both_csv_formats(tmp_path, monkeypatch, quo
     observations = ["path_id,n,l_km,a_s", "p1,5,1000,0.0055", "p2,10,2000,0.011"]
     if quoted:
         delays[1], observations[1] = '"100",0.018,0', '"p1",5,1000,0.0055'
-    mapping = {"size": "size_bytes", "delay": "delay_s", "lost": "lost"}
     lf, bom = tmp_path / "lf.csv", tmp_path / "bom.csv"
-    for lines, read in ((delays, lambda path: import_csv(path, mapping)),
+    for lines, read in ((delays, lambda path: import_csv(path, lost_column="lost")),
                         (observations, lambda path: _columns(read_observations_csv(path)))):
         lf.write_text("\n".join(lines) + "\n")
         bom.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
