@@ -368,8 +368,8 @@ _session_counter = itertools.count()
 class _EchoTransport:
     """One probe socket. `build` makes a probe's packet and the key its reply
     will be matched by, `transmit` sends a built packet, and `drain` yields
-    (key, recv_ns) for every matching reply waiting, each stamped on the
-    monotonic clock right after its own receive call."""
+    (key, recv_ns) for every reply waiting that `_match` turns into a key,
+    each stamped on the monotonic clock right after its own receive call."""
 
     _sock: socket.socket
 
@@ -377,6 +377,23 @@ class _EchoTransport:
         """True when a reply may be waiting before `timeout_s` has passed."""
         readable, _, _ = select.select([self._sock], [], [], timeout_s)
         return bool(readable)
+
+    def drain(self):
+        """The package's one receive loop: every datagram is stamped before
+        it is matched, and a queued error (an ICMP port or host unreachable
+        on a UDP socket) is consumed."""
+        recvfrom, match = self._sock.recvfrom, self._match
+        while True:
+            try:
+                data, addr = recvfrom(65535)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                continue
+            recv_ns = time.monotonic_ns()
+            key = match(data, addr)
+            if key is not None:
+                yield key, recv_ns
 
     def close(self):
         self._sock.close()
@@ -402,27 +419,16 @@ class _IcmpTransport(_EchoTransport):
     def transmit(self, packet: bytes) -> None:
         self._sock.sendto(packet, (self._dst, 0))
 
-    def drain(self):
-        while True:
-            try:
-                data, _addr = self._sock.recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                continue
-            recv_ns = time.monotonic_ns()
-            icmp = data[(data[0] & 0x0F) * 4:] if self._raw else data
-            if len(icmp) < ICMP_HEADER_BYTES + MIN_PAYLOAD_BYTES:
-                continue
-            itype, code, _csum, ident, seq = struct.unpack_from(">BBHHH", icmp, 0)
-            if itype != ICMP_ECHO_REPLY or code != 0:
-                continue
-            if self._raw and ident != self._ident:
-                continue
-            _ts, nonce = _PROBE_PREFIX.unpack_from(icmp, ICMP_HEADER_BYTES)
-            if nonce != self._nonce:
-                continue
-            yield seq, recv_ns
+    def _match(self, data: bytes, addr) -> Optional[int]:
+        """The sequence number of an echo reply to one of our probes."""
+        icmp = data[(data[0] & 0x0F) * 4:] if self._raw else data
+        if len(icmp) < ICMP_HEADER_BYTES + MIN_PAYLOAD_BYTES:
+            return None
+        itype, code, _csum, ident, seq = struct.unpack_from(">BBHHH", icmp, 0)
+        if itype != ICMP_ECHO_REPLY or code != 0 or (self._raw and ident != self._ident):
+            return None
+        _ts, nonce = _PROBE_PREFIX.unpack_from(icmp, ICMP_HEADER_BYTES)
+        return seq if nonce == self._nonce else None
 
 
 class _UdpTransport(_EchoTransport):
@@ -441,22 +447,12 @@ class _UdpTransport(_EchoTransport):
     def transmit(self, packet: bytes) -> None:
         self._sock.send(packet)
 
-    def drain(self):
-        while True:
-            try:
-                data = self._sock.recv(65535)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                # queued ICMP error (port/host unreachable); consume and move on
-                continue
-            recv_ns = time.monotonic_ns()
-            if len(data) < MIN_PAYLOAD_BYTES:
-                continue
-            ts_us, nonce = _PROBE_PREFIX.unpack_from(data, 0)
-            if nonce != self._nonce:
-                continue
-            yield ts_us, recv_ns
+    def _match(self, data: bytes, addr) -> Optional[int]:
+        """The send timestamp of a reflected probe of ours."""
+        if len(data) < MIN_PAYLOAD_BYTES:
+            return None
+        ts_us, nonce = _PROBE_PREFIX.unpack_from(data, 0)
+        return ts_us if nonce == self._nonce else None
 
 
 def _run_echo_loop(
@@ -571,69 +567,51 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatc
     )
 
 
-class _TtlProber:
-    """Sends one ICMP echo at a given TTL and classifies the outcome."""
+class _TtlProber(_IcmpTransport):
+    """Sends one ICMP echo at a given TTL and classifies the outcome: "target"
+    for the target's echo reply to it, "hop" for a TIME_EXCEEDED quoting it,
+    None when neither comes within the timeout. Needs a raw socket, as a
+    ping socket does not deliver TIME_EXCEEDED."""
 
     def __init__(self, dst_ip: str, timeout_s: float):
-        self._dst = dst_ip
-        self._timeout_s = timeout_s
-        sock, raw = _open_icmp_socket()
-        if not raw:
-            sock.close()
+        super().__init__(dst_ip, int.from_bytes(os.urandom(4), "big"))
+        if not self._raw:
+            self.close()
             raise ProbePermissionError(
                 "hop discovery needs a raw ICMP socket to see TTL-expiry replies"
             )
-        self._sock = sock
-        self._sock.setblocking(False)
-        self._ident = (os.getpid() ^ 0x5A5A) & 0xFFFF
-        self._nonce = int.from_bytes(os.urandom(4), "big")
+        self._timeout_s = timeout_s
+        self._ttl = 0
+
+    def _match(self, data: bytes, addr) -> Optional[str]:
+        icmp = data[(data[0] & 0x0F) * 4:]
+        if icmp[:1] != bytes((ICMP_TIME_EXCEEDED,)):
+            reply = super()._match(data, addr) == self._ttl and addr[0] == self._dst
+            return "target" if reply else None
+        # quoted packet: inner IP header + first 8 bytes of our echo
+        inner = icmp[ICMP_HEADER_BYTES:]
+        if len(inner) < IPV4_HEADER_BYTES + ICMP_HEADER_BYTES:
+            return None
+        quoted = inner[(inner[0] & 0x0F) * 4:]
+        ours = (quoted[:1] == bytes((ICMP_ECHO_REQUEST,))
+                and quoted[4:8] == struct.pack(">HH", self._ident, self._ttl))
+        return "hop" if ours else None
 
     def __call__(self, ttl: int) -> Optional[str]:
         self._sock.setsockopt(socket.SOL_IP, socket.IP_TTL, ttl)
-        ts_us = time.monotonic_ns() // 1000
-        payload = _probe_payload(ts_us, self._nonce, 24)
-        packet = _build_echo_request(self._ident, ttl & 0xFFFF, payload)
+        self._ttl, packet = self.build(ttl, time.monotonic_ns() // 1000, 24)
         try:
-            self._sock.sendto(packet, (self._dst, 0))
+            self.transmit(packet)
         except OSError:
             return None
         deadline = time.monotonic() + self._timeout_s
         saw_hop = False
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            readable, _, _ = select.select([self._sock], [], [], remaining)
-            if not readable:
-                break
-            try:
-                data, addr = self._sock.recvfrom(65535)
-            except OSError:
-                continue
-            ihl = (data[0] & 0x0F) * 4
-            icmp = data[ihl:]
-            if len(icmp) < ICMP_HEADER_BYTES:
-                continue
-            itype, code, _csum, ident, seq = struct.unpack_from(">BBHHH", icmp, 0)
-            if itype == ICMP_ECHO_REPLY and ident == self._ident and seq == (ttl & 0xFFFF):
-                if addr[0] == self._dst:
-                    return "target"
-            elif itype == ICMP_TIME_EXCEEDED:
-                # quoted packet: inner IP header + first 8 bytes of our echo
-                inner = icmp[ICMP_HEADER_BYTES:]
-                if len(inner) < IPV4_HEADER_BYTES + ICMP_HEADER_BYTES:
-                    continue
-                inner_ihl = (inner[0] & 0x0F) * 4
-                q = inner[inner_ihl:]
-                if len(q) < ICMP_HEADER_BYTES:
-                    continue
-                qtype, _qcode, _qcsum, qident, qseq = struct.unpack_from(">BBHHH", q, 0)
-                if qtype == ICMP_ECHO_REQUEST and qident == self._ident and qseq == (ttl & 0xFFFF):
-                    saw_hop = True
+        while (remaining := deadline - time.monotonic()) > 0 and self.wait(remaining):
+            for outcome, _recv_ns in self.drain():
+                if outcome == "target":
+                    return outcome
+                saw_hop = True
         return "hop" if saw_hop else None
-
-    def close(self):
-        self._sock.close()
 
 
 def discover_hops(

@@ -4,7 +4,8 @@ A session file is UTF-8 JSONL: one metadata line carrying the schema
 version, identifiers, plan, and optional path features, then one line per
 sample in seq order. Every sample line of a file has the same path_id and
 method. Unknown metadata keys and sample fields survive a load/save round
-trip untouched; the plan and features refuse keys they have no field for.
+trip untouched, a sample's fields keyed by its row (seqs may repeat); the
+plan and features refuse keys they have no field for.
 
 A CSV file, of delays or of intercept observations, is read as
 csv.DictReader reads it, a leading UTF-8 BOM skipped. A plain file (no
@@ -67,6 +68,8 @@ class SessionRecord:
 
     `samples` may be given as a SampleBatch or a sequence of ProbeSample
     rows, checked as they enter a batch; it is held as a SampleBatch.
+    `sample_extras` holds the unknown fields of a sample line by the
+    sample's row, counted from 0.
     """
 
     session_id: str
@@ -110,9 +113,10 @@ def dump_line(obj: dict) -> str:
     return _COMPACT_SORTED.encode(obj)
 
 
-def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
+def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict], first_row: int) -> str:
     """One JSON line per sample, each ending in a newline, byte for byte what
-    dump_line makes of the sample's fields: keys in sorted order, floats by repr."""
+    dump_line makes of the sample's fields and its extras, the sample being
+    row `first_row` onwards of the session: keys in sorted order, floats by repr."""
     def scalar(value) -> str:
         return json.dumps(value).replace("%", "%%")
 
@@ -131,12 +135,11 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict]) -> str:
     lines = list(map(template.__mod__, zip(lost_text, payload, rtt_text, sent, seqs, wire)))
     if sample_extras:  # one lookup per row keeps the save linear in the extras
         ids = {"method": samples.method, "path_id": samples.path_id}
-        for i, seq in enumerate(seqs):
-            extra = sample_extras.get(seq)
+        for i, extra in enumerate(map(sample_extras.get, range(first_row, first_row + len(lines)))):
             if extra is not None:
                 lines[i] = dump_line({
                     "lost": rtts[i] is None, **ids, "payload_bytes": payload[i], "rtt_s": rtts[i],
-                    "sent_at_us": sent[i], "seq": seq, "wire_bits": wire[i], **extra,
+                    "sent_at_us": sent[i], "seq": seqs[i], "wire_bits": wire[i], **extra,
                 }) + "\n"
     return "".join(lines)
 
@@ -155,7 +158,7 @@ def save_session(record: SessionRecord, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_line(meta) + "\n")
         for start in range(0, len(samples), _CHUNK_LINES):
-            fh.write(_sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras))
+            fh.write(_sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras, start))
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -245,12 +248,12 @@ def _parse_chunk(lines: list[bytes], first_line_no: int) -> tuple[list[tuple], l
 def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
     """The samples of the sample lines (bytes, line 2 onwards) in `lines`,
     read and checked a chunk at a time, and the unknown fields of each
-    sample that has any, keyed by seq. A chunk of canonical lines of the
+    sample that has any, keyed by its row. A chunk of canonical lines of the
     file's path_id and method is parsed in bulk, any other chunk line by
     line; each must keep the ids and seq order of the one before."""
     batches: list[SampleBatch] = []
     sample_extras: dict[int, dict] = {}
-    first_line_no = 2
+    first_line_no, first_row = 2, 0
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
         previous = batches[-1] if batches else None
         ids = None if previous is None else (previous.path_id, previous.method)
@@ -272,7 +275,8 @@ def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
         except InvalidSample as exc:
             raise CorruptLine(line_nos[exc.index], f"bad sample: {exc}") from exc
         batches.append(batch)
-        sample_extras.update(zip(batch.seq[list(extras)].tolist(), extras.values()))
+        sample_extras.update((first_row + i, extra) for i, extra in extras.items())
+        first_row += len(batch)
     if not batches:
         return SampleBatch.from_rows(()), sample_extras
     return SampleBatch.concat(batches), sample_extras

@@ -1,6 +1,24 @@
 """Shared test helpers."""
 
+import socket
+
+import pytest
+
 from deltaprobe.probe import ProbeSample
+
+
+def _have_raw_icmp_socket() -> bool:
+    try:
+        socket.socket(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP).close()
+        return True
+    except OSError:
+        return False
+
+
+# hop discovery refuses a ping socket, which does not deliver TIME_EXCEEDED
+needs_raw_icmp = pytest.mark.skipif(
+    not _have_raw_icmp_socket(), reason="no raw ICMP socket privilege in this environment"
+)
 
 
 def make_sample(wire_bits, rtt_s, seq=0, sent_at_us=None, path_id="test", method="simulated"):

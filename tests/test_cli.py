@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import deltaprobe
-from conftest import make_sample
+from conftest import make_sample, needs_raw_icmp
 from deltaprobe import cli, probe, store
 from deltaprobe.cli import CliConfig, format_bitrate, main
 from deltaprobe.reflector import serve
@@ -381,7 +381,7 @@ def test_probe_unreachable_documentation_address_exits_2(tmp_path):
     assert code == 2
 
 
-@needs_icmp
+@needs_raw_icmp
 def test_probe_discover_hops_loopback(reflector_port, tmp_path):
     out = tmp_path / "hops.jsonl"
     code = main([

@@ -1,16 +1,23 @@
+import collections
 import dataclasses
 import math
 import random
 import re
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import needs_raw_icmp
 
 from deltaprobe import probe as probe_module
-from deltaprobe.errors import AllProbesLost, InvalidProbePlan, NoReply, ResolveFailure
+from deltaprobe.errors import (AllProbesLost, InvalidProbePlan, NoReply, ProbePermissionError,
+                               ResolveFailure)
 from deltaprobe.probe import (
+    ICMP_HEADER_BYTES as ICMP_HEADER,
+    MIN_PAYLOAD_BYTES as MIN_PAYLOAD,
     InvalidSample,
     ProbePlan,
     ProbeSample,
@@ -262,9 +269,249 @@ def test_discover_hops_bounded_search():
         discover_hops("anything", max_ttl=3, prober=prober)
 
 
-@needs_icmp
+@needs_raw_icmp
 def test_discover_hops_loopback_is_one():
     assert discover_hops("127.0.0.1", max_ttl=5, timeout_s=1.0) == 1
+
+
+# ---------------------------------------------------------------------------
+# reply matching, on fake sockets
+# ---------------------------------------------------------------------------
+
+class FakeSocket:
+    """Socket stand-in with the calls the probe transports make, in the
+    style of bench/echo.py. Queued datagrams, as (data, address), and
+    OSErrors come out of `recvfrom` (or `recv`) in order, an OSError raised.
+    While the queue is not empty one byte waits on an AF_UNIX pair, so that
+    `select` sees a readable socket. `answer(packet, ttl)`, if given, gives
+    the datagrams a sent packet brings back. With `noise`, the socket is
+    always readable and, once the queue is empty, yields `noise` at most
+    once a millisecond: unrelated traffic that never stops arriving."""
+
+    def __init__(self, answer=None, noise=None):
+        self._rx, self._tx = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._queue = collections.deque()
+        self._answer = answer
+        self._noise, self._noise_ns = noise, 0
+        if noise is not None:
+            self._tx.send(b"n")
+        self.ttl = 64
+        self.closed = False
+
+    def fileno(self) -> int:
+        return self._rx.fileno()
+
+    def setblocking(self, flag: bool) -> None:
+        self._rx.setblocking(flag)
+
+    def setsockopt(self, level, name, value) -> None:
+        assert (level, name) == (socket.SOL_IP, socket.IP_TTL)
+        self.ttl = value
+
+    def queue(self, *items) -> None:
+        for item in items:
+            if not self._queue and self._noise is None:
+                self._tx.send(b"r")
+            self._queue.append(item)
+
+    def sendto(self, packet: bytes, _address) -> int:
+        if self._answer is not None:
+            self.queue(*self._answer(packet, self.ttl))
+        return len(packet)
+
+    def recvfrom(self, _bufsize: int):
+        if not self._queue:
+            now_ns = time.monotonic_ns()
+            if self._noise is None or now_ns - self._noise_ns < 1_000_000:
+                raise BlockingIOError("nothing waiting")
+            self._noise_ns = now_ns
+            return self._noise
+        item = self._queue.popleft()
+        if not self._queue and self._noise is None:
+            self._rx.recv(1)
+        if isinstance(item, OSError):
+            raise item
+        return item
+
+    def recv(self, bufsize: int) -> bytes:
+        return self.recvfrom(bufsize)[0]
+
+    def close(self) -> None:
+        self.closed = True
+        self._rx.close()
+        self._tx.close()
+
+
+TARGET = "198.51.100.9"  # TEST-NET-2; only ever a fake socket's peer
+NONCE = 0x1234ABCD
+
+
+def _ip(icmp: bytes, src: str = TARGET) -> bytes:
+    """`icmp` behind an IPv4 header without options, as a raw socket reads it."""
+    header = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(icmp), 0, 0, 64,
+                         socket.IPPROTO_ICMP, 0, socket.inet_aton(src),
+                         socket.inet_aton("192.0.2.1"))
+    return header + icmp
+
+
+def _flip(data: bytes, index: int) -> bytes:
+    return data[:index] + bytes((data[index] ^ 0xFF,)) + data[index + 1:]
+
+
+def _echo_reply(request: bytes) -> bytes:
+    return b"\x00" + request[1:]  # type 0; the checksum is not checked
+
+
+def _quoting(icmp_type: int, request: bytes) -> bytes:
+    """An ICMP error of `icmp_type` quoting the request's IP header and its
+    first 8 bytes."""
+    return struct.pack(">BBHI", icmp_type, 0, 0, 0) + _ip(request)[:28]
+
+
+def _drained(transport) -> list:
+    """The keys `drain` yields, each receive stamp checked to lie in the call."""
+    keys, start_ns = [], time.monotonic_ns()
+    for key, recv_ns in transport.drain():
+        assert start_ns <= recv_ns <= time.monotonic_ns()
+        keys.append(key)
+    return keys
+
+
+@pytest.fixture
+def icmp_socket(monkeypatch):
+    """open(raw, answer=None, noise=None): a FakeSocket that the next
+    `_open_icmp_socket` call hands out as a raw or a ping socket; each is
+    checked to be closed at teardown."""
+    opened = []
+
+    def open_fake(raw, answer=None, noise=None):
+        sock = FakeSocket(answer, noise)
+        opened.append(sock)
+        monkeypatch.setattr(probe_module, "_open_icmp_socket", lambda: (sock, raw))
+        return sock
+
+    yield open_fake
+    for sock in opened:
+        assert sock.closed
+        if sock._rx.fileno() >= 0:
+            sock.close()
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda request, reply: _flip(reply, 4),
+    lambda request, reply: _flip(reply, ICMP_HEADER + 8),
+    lambda request, reply: request,
+    lambda request, reply: _flip(reply, 1),
+    lambda request, reply: reply[:ICMP_HEADER + MIN_PAYLOAD - 1],
+], ids=["wrong identifier", "wrong nonce", "own request looped back", "nonzero code",
+        "too short"])
+def test_icmp_raw_socket_ignores_a_reply_not_to_its_probe(icmp_socket, spoil):
+    sock = icmp_socket(raw=True)
+    transport = probe_module._IcmpTransport(TARGET, NONCE)
+    key, request = transport.build(5, 1234, 100)
+    reply = _echo_reply(request)
+    sock.queue((_ip(spoil(request, reply)), (TARGET, 0)), (_ip(reply), (TARGET, 0)))
+    assert _drained(transport) == [key] == [5]
+    transport.close()
+
+
+def test_icmp_ping_socket_accepts_a_rewritten_identifier(icmp_socket):
+    # a ping socket hands over the ICMP message alone, with the kernel's identifier
+    sock = icmp_socket(raw=False)
+    transport = probe_module._IcmpTransport(TARGET, NONCE)
+    key, request = transport.build(7, 1234, 100)
+    reply = _flip(_echo_reply(request), 4)
+    sock.queue((_flip(reply, ICMP_HEADER + 8), None), (reply, None))
+    assert _drained(transport) == [key] == [7]
+    transport.close()
+
+
+def test_udp_transport_ignores_foreign_and_short_datagrams_and_consumes_errors():
+    transport = probe_module._UdpTransport("127.0.0.1", 9, NONCE)
+    transport._sock.close()
+    transport._sock = sock = FakeSocket()
+    key, packet = transport.build(3, 4567, 100)
+    peer = ("127.0.0.1", 9)
+    sock.queue((_flip(packet, 8), peer), (packet[:MIN_PAYLOAD - 1], peer),
+               ConnectionRefusedError(111, "Connection refused"), (packet, peer))
+    assert _drained(transport) == [key] == [4567]
+    transport.close()
+
+
+def _network(hops: int, silent: set):
+    """answer(packet, ttl) of a path whose routers answer a TTL below `hops`
+    with TIME_EXCEEDED, but for the TTLs in `silent`, and whose target
+    answers at `hops` and beyond; unrelated ICMP arrives with every answer."""
+    def answer(request, ttl):
+        seq = struct.unpack_from(">H", request, 6)[0]
+        earlier = request[:6] + struct.pack(">H", seq - 1) + request[8:]
+        noise = [
+            _ip(request, src="192.0.2.1"),  # our own request, looped back
+            _ip(_flip(_echo_reply(request), 4)),  # another prober's reply
+            _ip(_echo_reply(request), src="192.0.2.77"),  # not from the target
+            _ip(_quoting(11, _flip(request, 4)), src="10.0.0.1"),  # another prober's expiry
+            _ip(_echo_reply(earlier)),  # the last TTL's reply, late
+            _ip(_quoting(11, earlier), src="10.0.0.1"),  # the last TTL's expiry
+            _ip(_quoting(11, _echo_reply(request)), src="10.0.0.1"),  # a reply's expiry
+            _ip(_quoting(3, request), src="10.0.0.1"),  # unreachable, not expired
+            _ip(_quoting(11, request)[:30], src="10.0.0.1"),  # quote cut short
+            _ip(b"\x0b\x00"),  # too short to read
+        ]
+        if ttl >= hops:
+            reply = _ip(_echo_reply(request))
+        elif ttl in silent:
+            reply = None
+        else:
+            reply = _ip(_quoting(11, request), src=f"10.0.0.{ttl}")
+        datagrams = noise[:5] + ([reply] if reply else []) + noise[5:]
+        return [(data, (socket.inet_ntoa(data[12:16]), 0)) for data in datagrams]
+
+    return answer
+
+
+def test_ttl_prober_tells_hops_silence_and_the_target_apart(icmp_socket):
+    icmp_socket(raw=True, answer=_network(hops=5, silent={2, 3}))
+    prober = probe_module._TtlProber(TARGET, 0.02)
+    assert [prober(ttl) for ttl in range(1, 7)] == ["hop", None, None, "hop", "target", "target"]
+    prober.close()
+
+
+def test_discover_hops_on_a_raw_socket_finds_the_target(icmp_socket):
+    icmp_socket(raw=True, answer=_network(hops=4, silent={1}))
+    assert discover_hops(TARGET, max_ttl=8, timeout_s=0.02) == 4
+    icmp_socket(raw=True, answer=_network(hops=9, silent=set()))
+    with pytest.raises(NoReply):
+        discover_hops(TARGET, max_ttl=3, timeout_s=0.02)
+
+
+def test_hop_discovery_refuses_a_ping_socket(icmp_socket):
+    icmp_socket(raw=False)
+    with pytest.raises(ProbePermissionError):
+        probe_module._TtlProber(TARGET, 0.02)
+    icmp_socket(raw=False)
+    with pytest.raises(ProbePermissionError):
+        discover_hops(TARGET, max_ttl=3, timeout_s=0.02)
+
+
+@pytest.mark.parametrize("spoil", [lambda reply: _flip(reply, ICMP_HEADER + 8),
+                                   lambda reply: _flip(reply, 1)],
+                         ids=["wrong nonce", "nonzero code"])
+def test_ttl_prober_takes_the_target_reply_by_the_probe_reply_rule(icmp_socket, spoil):
+    icmp_socket(raw=True, answer=lambda request, ttl: [
+        (_ip(spoil(_echo_reply(request))), (TARGET, 0))])
+    prober = probe_module._TtlProber(TARGET, 0.02)
+    assert prober(1) is None
+    prober.close()
+
+
+def test_ttl_prober_wait_ends_at_its_deadline_under_endless_noise(icmp_socket):
+    stranger = _ip(_echo_reply(_build_echo_request(1, 1, bytes(MIN_PAYLOAD))), src="192.0.2.77")
+    icmp_socket(raw=True, answer=_network(hops=5, silent={1}), noise=(stranger, ("192.0.2.77", 0)))
+    prober = probe_module._TtlProber(TARGET, 0.05)
+    start = time.monotonic()
+    assert prober(1) is None
+    assert 0.05 <= time.monotonic() - start < 2.0
+    prober.close()
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,23 @@ def test_unknown_fields_survive_round_trip(tmp_path):
     assert resaved.sample_extras[0] == {"probe_color": "blue"}
 
 
+@pytest.mark.parametrize("chunk_lines", [2048, 2])
+def test_extras_of_repeated_seqs_round_trip_byte_for_byte(tmp_path, monkeypatch, chunk_lines):
+    # seqs may repeat, so extras are kept by row; chunks of 2 split the repeats
+    monkeypatch.setattr(store, "_CHUNK_LINES", chunk_lines)
+    samples = [make_sample(1024, 0.01, seq=seq) for seq in (0, 5, 5, 6, 6)]
+    extras = {1: {"note": "first"}, 3: {"note": "a"}, 4: {"note": "b"}}
+    meta = {"created_at": "t", "features": None, "plan": None, "schema": 1, "session_id": "x"}
+    lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
+    lines += [_reference_line(s, extras.get(row)) for row, s in enumerate(samples)]
+    path, out = tmp_path / "repeats.jsonl", tmp_path / "resaved.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_session(path)
+    assert loaded.sample_extras == extras
+    save_session(loaded, out)
+    assert out.read_bytes() == path.read_bytes()
+
+
 def test_record_requires_seq_order():
     samples = [make_sample(1024, 0.01, seq=1), make_sample(1024, 0.01, seq=0)]
     with pytest.raises(ValueError):
@@ -801,7 +818,7 @@ def test_bulk_parse_falls_back_with_the_same_outcome(tmp_path, monkeypatch):
         else:
             assert outcome == line_no, name
         if name == "unknown fields mid-file":
-            assert outcome.sample_extras == {with_extra["seq"]: {"probe_color": "blue"}}
+            assert outcome.sample_extras == {3000 - 1: {"probe_color": "blue"}}
 
     _write(path, lines, end=b"")  # no final newline: the last chunk falls back
     outcome, bulk_chunks = _load_both_ways(path, monkeypatch)
