@@ -568,10 +568,10 @@ def run_session(plan: ProbePlan, *, path_id: Optional[str] = None) -> SampleBatc
 
 
 class _TtlProber(_IcmpTransport):
-    """Sends one ICMP echo at a given TTL and classifies the outcome: "target"
-    for the target's echo reply to it, "hop" for a TIME_EXCEEDED quoting it,
-    None when neither comes within the timeout. Needs a raw socket, as a
-    ping socket does not deliver TIME_EXCEEDED."""
+    """Sends one ICMP echo at a given TTL and classifies the outcome by the
+    first reply to it: "target" for the target's echo reply, "hop" for a
+    TIME_EXCEEDED quoting it, None when neither comes within the timeout.
+    Needs a raw socket, as a ping socket does not deliver TIME_EXCEEDED."""
 
     def __init__(self, dst_ip: str, timeout_s: float):
         super().__init__(dst_ip, int.from_bytes(os.urandom(4), "big"))
@@ -605,13 +605,10 @@ class _TtlProber(_IcmpTransport):
         except OSError:
             return None
         deadline = time.monotonic() + self._timeout_s
-        saw_hop = False
         while (remaining := deadline - time.monotonic()) > 0 and self.wait(remaining):
             for outcome, _recv_ns in self.drain():
-                if outcome == "target":
-                    return outcome
-                saw_hop = True
-        return "hop" if saw_hop else None
+                return outcome  # no target reply follows a router's for the same request
+        return None
 
 
 def discover_hops(

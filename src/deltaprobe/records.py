@@ -10,7 +10,17 @@ _KINDS = {int: "an integer", float: "a number", str: "a string", list: "an array
           tuple: "an array", dict: "an object"}
 # a bool is neither; the built-in types first spare most values the ABC check
 _NUMBERS = {int: (int, numbers.Integral), float: (float, int, numbers.Real)}
-_hints = functools.cache(typing.get_type_hints)  # read once per class
+# the exact types a field of each hint takes without a call to check_value
+_EXACT = {int: (int,), float: (float, int), str: (str,)}
+
+
+@functools.cache
+def _rules(cls) -> dict:
+    """Each field of `cls` by name: its hint, the exact value types that need
+    no check_value call, and X if the hint is tuple[X, ...], else None."""
+    return {name: (hint, _EXACT.get(hint, ()),
+                   typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None)
+            for name, hint in typing.get_type_hints(cls).items()}
 
 
 def check_value(name: str, hint, value) -> None:
@@ -29,8 +39,10 @@ def check_value(name: str, hint, value) -> None:
 
 def check_fields(record) -> None:
     """Raise TypeError naming the first field not of its annotated type."""
-    for name, hint in _hints(type(record)).items():
-        check_value(name, hint, getattr(record, name))
+    for name, (hint, exact, _item) in _rules(type(record)).items():
+        value = getattr(record, name)
+        if type(value) not in exact:
+            check_value(name, hint, value)
 
 
 def from_json(cls, obj):
@@ -38,14 +50,12 @@ def from_json(cls, obj):
     its default, an array becomes a tuple, built item by item if it holds
     records, and a key `cls` has no field for raises TypeError."""
     check_value(cls.__name__, dict, obj)
-    fields = dict(obj)
+    fields, rules = dict(obj), _rules(cls)
     for name, value in obj.items():
-        hint = _hints(cls).get(name)
-        if hint is None:
+        if name not in rules:
             raise TypeError(f"{cls.__name__} has no field {name!r}")
-        if typing.get_origin(hint) is tuple:
+        if (item := rules[name][2]) is not None:
             check_value(name, list, value)
-            item = typing.get_args(hint)[0]
             if dataclasses.is_dataclass(item):
                 value = [_item_from_json(f"{name}[{i}]", item, v) for i, v in enumerate(value)]
             fields[name] = tuple(value)

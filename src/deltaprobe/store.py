@@ -185,7 +185,11 @@ def _parse_line(line_no: int, text: str) -> dict:
 # silently), ASCII ids without escapes, and rtt_s null exactly when lost is
 # true. Its ids are literals, so it captures payload_bytes, rtt_s, and the
 # span from sent_at_us to wire_bits that _SPAN_TO_INTS makes three integers.
-_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+# An optional part is written `(?:x|)`, not `(?:x)?`: re runs a group under
+# `?` through its slow generic repeat, and a branch does not need it. Each
+# branch that a written line takes most often comes first: lost false, a
+# nonzero integer, an rtt_s below one second.
+_INT = rb"-?(?:[1-9][0-9]{0,17}|0)"
 _ID = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"'
 _IDS = re.compile(rb'\{"lost":(?:true|false),"method":' + _ID + rb',"path_id":' + _ID)
 _SPAN_TO_INTS = (bytes.maketrans(b",:", b"  "), b'"seqwirbt_')
@@ -194,9 +198,9 @@ _SPAN_TO_INTS = (bytes.maketrans(b",:", b"  "), b'"seqwirbt_')
 @functools.lru_cache(maxsize=64)
 def _sample_line(method: bytes, path_id: bytes) -> re.Pattern:
     return re.compile(
-        rb'^\{"lost":(?:(true)|false),"method":"' + re.escape(method)
+        rb'^\{"lost":(?:false|(true)),"method":"' + re.escape(method)
         + rb'","path_id":"' + re.escape(path_id) + rb'","payload_bytes":(' + _INT + rb')'
-        rb',"rtt_s":((?(1)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+        rb',"rtt_s":((?(1)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)))'
         rb',"sent_at_us":(' + _INT + rb',"seq":' + _INT + rb',"wire_bits":' + _INT + rb')\}\n',
         re.MULTILINE,
     )

@@ -484,6 +484,18 @@ def test_discover_hops_on_a_raw_socket_finds_the_target(icmp_socket):
         discover_hops(TARGET, max_ttl=3, timeout_s=0.02)
 
 
+def test_discover_hops_waits_out_only_a_silent_ttl(icmp_socket):
+    # a router's reply ends its TTL's wait; only a silent TTL costs a timeout
+    icmp_socket(raw=True, answer=_network(hops=5, silent=set()))
+    start = time.monotonic()
+    assert discover_hops(TARGET, max_ttl=8, timeout_s=0.5) == 5
+    assert time.monotonic() - start < 0.25
+    icmp_socket(raw=True, answer=_network(hops=5, silent={2}))
+    start = time.monotonic()
+    assert discover_hops(TARGET, max_ttl=8, timeout_s=0.5) == 5
+    assert 0.5 <= time.monotonic() - start < 1.0  # two timeouts would take 1 s
+
+
 def test_hop_discovery_refuses_a_ping_socket(icmp_socket):
     icmp_socket(raw=False)
     with pytest.raises(ProbePermissionError):

@@ -1,9 +1,11 @@
 import csv
+import functools
 import json
 import math
 import os
 import re
 import stat
+import typing
 from dataclasses import asdict, fields
 from decimal import Decimal, localcontext
 
@@ -17,6 +19,7 @@ from deltaprobe.intercept import InterceptModel, Observations, PathFeatures, fit
 from deltaprobe.probe import DEFAULT_UDP_PORT, ProbePlan
 from deltaprobe import store
 from deltaprobe.probe import SampleBatch
+from deltaprobe.records import check_value, from_json
 from deltaprobe.simulator import Hop, SimPath, path_from_config
 from deltaprobe.stats import DelaySummary
 from deltaprobe.store import (
@@ -190,6 +193,58 @@ def test_a_json_field_of_the_wrong_type_is_refused(tmp_path, record, field, valu
     path.write_text(json.dumps(_with_field(meta, record, field, value)) + "\n" + "".join(samples))
     with pytest.raises(CorruptLine, match=f"^line 1: bad metadata: {re.escape(message)}$"):
         load_session(path)
+
+
+class _Text(str):
+    pass
+
+
+# (record, a field of it); every other field is left at a valid value
+_RULE_FIELDS = [(Hop, "capacity_bps"), (ProbePlan, "count_per_size"), (ProbePlan, "target"),
+                (PathFeatures, "hop_count_n"), (PathFeatures, "route_length_l_km")]
+_VALID = {Hop: {"capacity_bps": 1e6}, ProbePlan: {"target": "x"},
+          PathFeatures: {"path_id": "p", "hop_count_n": 3, "route_length_l_km": 1.0}}
+
+
+@pytest.mark.parametrize("record, field", _RULE_FIELDS, ids=[f"{r.__name__}.{f}" for r, f in _RULE_FIELDS])
+@pytest.mark.parametrize("value", [
+    5, 5.0, True, False, np.float64(5.0), np.float32(5.0), np.int64(5), np.bool_(True),
+    "5", _Text("5"), None, Decimal(5), [5],
+], ids=repr)
+def test_a_record_field_takes_what_check_value_takes(record, field, value):
+    hint = typing.get_type_hints(record)[field]
+    try:
+        check_value(field, hint, value)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+            record(**_VALID[record] | {field: value})
+    else:
+        assert getattr(record(**_VALID[record] | {field: value}), field) is value
+
+
+def test_record_field_rules_keep_numpy_scalars_and_refuse_bools():
+    assert Hop(capacity_bps=np.float64(1e6)).capacity_bps == 1e6
+    assert Hop(capacity_bps=np.float32(1e6), loss_prob=np.int64(0)).capacity_bps == 1e6
+    assert ProbePlan(target="x", count_per_size=np.int64(3), udp_port=np.int64(7)).count_per_size == 3
+    assert Hop(capacity_bps=10 ** 6).capacity_bps == 10 ** 6  # an int in a float field
+    assert PathFeatures(path_id=_Text("p"), hop_count_n=1, route_length_l_km=0).path_id == "p"
+    with pytest.raises(TypeError, match=r"^count_per_size must be an integer, got True$"):
+        ProbePlan(target="x", count_per_size=True)
+    with pytest.raises(TypeError, match=r"^hop_count_n must be an integer, got False$"):
+        PathFeatures(path_id="p", hop_count_n=False, route_length_l_km=0.0)
+    with pytest.raises(TypeError, match=r"^capacity_bps must be a number, got True$"):
+        Hop(capacity_bps=True)
+    with pytest.raises(TypeError, match=r"^loss_prob must be a number, got False$"):
+        Hop(capacity_bps=1e6, loss_prob=False)
+    with pytest.raises(TypeError, match=f"^count_per_size must be an integer, got {re.escape(repr(np.float64(3)))}$"):
+        ProbePlan(target="x", count_per_size=np.float64(3))
+
+
+def test_from_json_names_the_first_unknown_key():
+    with pytest.raises(TypeError, match=r"^ProbePlan has no field 'colour'$"):
+        from_json(ProbePlan, {"target": "x", "colour": 1, "flavour": 2})
+    with pytest.raises(TypeError, match=r"^ProbePlan has no field 'flavour'$"):
+        from_json(ProbePlan, {"flavour": 2, "target": "x", "colour": 1})
 
 
 def test_a_probe_plan_without_udp_port_loads_with_the_default(tmp_path):
@@ -880,6 +935,103 @@ def test_bulk_parse_takes_json_numbers_of_at_most_18_digits(
         assert getattr(outcome.samples, name)[5] == json.loads(text)
     else:
         assert outcome == line_no
+
+
+# The sample-line pattern as first written, with `?` groups and the other
+# branch order; the current one must take exactly the same lines.
+_REFERENCE_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sample_line(method: bytes, path_id: bytes) -> re.Pattern:
+    return re.compile(
+        rb'^\{"lost":(?:(true)|false),"method":"' + re.escape(method)
+        + rb'","path_id":"' + re.escape(path_id) + rb'","payload_bytes":(' + _REFERENCE_INT + rb')'
+        rb',"rtt_s":((?(1)null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+        rb',"sent_at_us":(' + _REFERENCE_INT + rb',"seq":' + _REFERENCE_INT
+        + rb',"wire_bits":' + _REFERENCE_INT + rb')\}\n',
+        re.MULTILINE,
+    )
+
+
+_NUMERIC_FIELDS = ("payload_bytes", "rtt_s", "sent_at_us", "seq", "wire_bits")
+_NUMBER_TEXTS = [b"0", b"-0", b"00", b"0128", b"+5", b".5", b"5.", b"1e", b"1e5", b"1E+5",
+                 b"2.5E-3", b"-1.5e-300", b"123456789012345678", b"1234567890123456789",
+                 b"null", b"true", b"NaN", b"Infinity"]
+_ODD_IDS = "a.b*c+(d)|[e]^$?{2}%"
+
+
+def _flip_lost(line):
+    if b'"lost":true' in line:
+        return line.replace(b'"lost":true', b'"lost":false')
+    return line.replace(b'"lost":false', b'"lost":true')
+
+
+def _mutated(rng, line):
+    """`line` with a random numeric field spelled as a random one of
+    _NUMBER_TEXTS, or with lost flipped, or both, or neither."""
+    if rng.random() < 0.6:
+        text = _NUMBER_TEXTS[rng.integers(len(_NUMBER_TEXTS))]
+        line = _replace_field(line, str(rng.choice(_NUMERIC_FIELDS)), text)
+    return _flip_lost(line) if rng.random() < 0.25 else line
+
+
+def _findall_both(data):
+    """The sample lines of _session_of(_, _ODD_IDS) in `data`, found alike by
+    the pattern and its reference."""
+    ids = (b"simulated", _ODD_IDS.encode())
+    found = store._sample_line(*ids).findall(data)
+    assert found == _reference_sample_line(*ids).findall(data)
+    return found
+
+
+def test_sample_line_pattern_takes_the_lines_its_reference_takes(tmp_path):
+    _, lines = _session_of(tmp_path, _ODD_IDS, n=50)
+    samples = lines[1:]
+    assert b'"method":"simulated"' in samples[0]
+    for line in (samples[0], samples[3]):  # kept and lost
+        for flipped in (line, _flip_lost(line)):
+            for name in _NUMERIC_FIELDS:
+                for text in _NUMBER_TEXTS:
+                    _findall_both(_replace_field(flipped, name, text) + b"\n")
+    rng = np.random.default_rng(57)
+    taken = 0
+    for _ in range(40):
+        chunk = b"".join(_mutated(rng, line) + b"\n" for line in samples)
+        taken += len(_findall_both(chunk))
+    assert 0 < taken < 40 * 50  # the mutations hit some lines and spare others
+
+
+def _outcome_with_message(path):
+    try:
+        return load_session(path)
+    except CorruptLine as exc:
+        return str(exc)
+
+
+def test_sample_line_pattern_loads_files_as_its_reference_does(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "_CHUNK_LINES", 4)
+    path, lines = _session_of(tmp_path, _ODD_IDS, n=12)
+    rng = np.random.default_rng(58)
+    outcomes = set()
+    for name in _NUMERIC_FIELDS:
+        for text in _NUMBER_TEXTS:
+            changed = list(lines)
+            at = int(rng.integers(1, len(lines)))
+            changed[at] = _replace_field(changed[at], name, text)
+            if rng.random() < 0.5:
+                flip = int(rng.integers(1, len(lines)))
+                changed[flip] = _flip_lost(changed[flip])
+            _write(path, changed)
+            outcome = _outcome_with_message(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(store, "_sample_line", _reference_sample_line)
+                reference = _outcome_with_message(path)
+            if isinstance(outcome, SessionRecord):
+                assert outcome.samples.rtt_s.tobytes() == reference.samples.rtt_s.tobytes()
+            assert outcome == reference, (name, text)
+            outcomes.add(type(outcome))
+    assert outcomes == {SessionRecord, str}
 
 
 def test_load_numbers_lines_as_a_text_file_does(tmp_path, monkeypatch):
