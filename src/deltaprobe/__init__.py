@@ -12,6 +12,7 @@ from .errors import *  # noqa: F403
 from .estimator import (
     BandwidthEstimate,
     DelayProfile,
+    EstimateReport,
     SizeDelayPoint,
     estimate_bandwidth,
     estimate_from_intercept,

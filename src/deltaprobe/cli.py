@@ -124,15 +124,6 @@ def _format_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f} ms"
 
 
-def _estimate_json(est: estimator.BandwidthEstimate, profile: estimator.DelayProfile) -> dict:
-    return {
-        **store.record_dict(est),
-        "n_sizes": len(profile.sizes_bits),
-        "samples_per_size": profile.samples_per_size,
-        "dropped_sizes": profile.dropped_sizes,
-    }
-
-
 # json.dumps with the defaults, but refusing NaN and infinities
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
@@ -144,14 +135,22 @@ def _print_json(payload: dict) -> None:
         raise errors.EstimationError(f"{exc}: {payload}") from exc
 
 
-def _print_estimate(est: estimator.BandwidthEstimate) -> None:
-    print(
-        f"B_av = {format_bitrate(est.b_av_bps)}, a = {_format_ms(est.intercept_s)}"
-        f" ({est.b_av_bps} bps)"
-    )
-    print(f"method = {est.method}, residual_rms = {_format_ms(est.residual_rms_s)}")
-    for warning in est.warnings:
-        print(f"warning: {warning}")
+def _print_report(cfg: CliConfig, report: Optional[estimator.EstimateReport],
+                  lines=(), **keys) -> None:
+    """Print an estimate `report`, None when there is none, after a command's
+    own text `lines`, or as JSON before the command's own `keys`."""
+    if cfg.format == "json":
+        _print_json({**(report.to_json() if report is not None else {}), **keys})
+        return
+    for line in lines:
+        print(line)
+    if report is not None:
+        est = report.estimate
+        print(f"B_av = {format_bitrate(est.b_av_bps)}, a = {_format_ms(est.intercept_s)}"
+              f" ({est.b_av_bps} bps)")
+        print(f"method = {est.method}, residual_rms = {_format_ms(est.residual_rms_s)}")
+        for warning in est.warnings:
+            print(f"warning: {warning}")
 
 
 def cmd_probe(args, cfg: CliConfig) -> None:
@@ -197,30 +196,18 @@ def cmd_probe(args, cfg: CliConfig) -> None:
     store.save_session(record, out_path)
 
     n_lost = int(samples.lost.sum())
+    lines = [f"session: {out_path} ({len(samples)} samples, {n_lost} lost)"]
+    if features is not None:
+        lines.append(f"hops = {features.hop_count_n}, route = {features.route_length_l_km} km")
     # The session is the product; a summary estimate can legitimately be
     # undefined (e.g. loopback, where the delay-size slope is pure noise).
-    est = estimate_error = None
     try:
-        est, profile = estimator.estimate_bandwidth(samples, cfg.min_samples)
+        report, unavailable = estimator.estimate_bandwidth(samples, cfg.min_samples), {}
     except errors.EstimationError as exc:
-        estimate_error = f"{type(exc).__name__}: {exc}"
-
-    if cfg.format == "json":
-        _print_json({
-            **(_estimate_json(est, profile) if est else {"estimate_error": estimate_error}),
-            "session_file": str(out_path),
-            "session_id": session_id,
-            "n_samples": len(samples),
-            "n_lost": n_lost,
-        })
-    else:
-        print(f"session: {out_path} ({len(samples)} samples, {n_lost} lost)")
-        if features is not None:
-            print(f"hops = {features.hop_count_n}, route = {features.route_length_l_km} km")
-        if est is not None:
-            _print_estimate(est)
-        else:
-            print(f"estimate unavailable: {estimate_error}")
+        report, unavailable = None, {"estimate_error": f"{type(exc).__name__}: {exc}"}
+        lines.append(f"estimate unavailable: {unavailable['estimate_error']}")
+    _print_report(cfg, report, lines, **unavailable, session_file=str(out_path),
+                  session_id=session_id, n_samples=len(samples), n_lost=n_lost)
 
 
 # import_csv's keywords and defaults, for the flags of `estimate` that only
@@ -245,11 +232,8 @@ def cmd_estimate(args, cfg: CliConfig) -> None:
         print("warning: --one-way-halve assumes a symmetric path; "
               "delays divided by 2", file=sys.stderr)
         samples = samples.replace(rtt_s=samples.rtt_s / 2)
-    est, profile = estimator.estimate_bandwidth(samples, cfg.min_samples)
-    if cfg.format == "json":
-        _print_json({**_estimate_json(est, profile), "one_way_halve": args.one_way_halve})
-    else:
-        _print_estimate(est)
+    report = estimator.estimate_bandwidth(samples, cfg.min_samples)
+    _print_report(cfg, report, one_way_halve=args.one_way_halve)
 
 
 def cmd_simulate(args, cfg: CliConfig) -> None:
@@ -279,20 +263,12 @@ def cmd_simulate(args, cfg: CliConfig) -> None:
 
     truth = simulator.ground_truth_rate(path)
     overhead = simulator.fixed_overhead(path)
-    est, profile = estimator.estimate_bandwidth(samples, min(cfg.min_samples, cfg.count))
-    if cfg.format == "json":
-        _print_json({
-            **_estimate_json(est, profile),
-            "ground_truth_bps": truth,
-            "fixed_overhead_s": overhead,
-            "session_file": str(out_path),
-            "session_id": session_id,
-        })
-    else:
-        print(f"session: {out_path} ({len(samples)} samples)")
-        print(f"ground truth = {format_bitrate(truth)} ({truth} bps), "
-              f"overhead = {_format_ms(overhead)}")
-        _print_estimate(est)
+    report = estimator.estimate_bandwidth(samples, min(cfg.min_samples, cfg.count))
+    lines = [f"session: {out_path} ({len(samples)} samples)",
+             f"ground truth = {format_bitrate(truth)} ({truth} bps), "
+             f"overhead = {_format_ms(overhead)}"]
+    _print_report(cfg, report, lines, ground_truth_bps=truth, fixed_overhead_s=overhead,
+                  session_file=str(out_path), session_id=session_id)
 
 
 def cmd_calibrate(args, cfg: CliConfig) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     NoUsableSizes,
 )
 from .probe import SampleBatch, Samples, read_only_column
+from .records import record_dict
 
 METHOD_PAIRWISE = "pairwise"
 METHOD_REGRESSION = "regression"
@@ -258,15 +260,33 @@ def estimate_regression(profile: DelayProfile) -> BandwidthEstimate:
     )
 
 
+class EstimateReport(NamedTuple):
+    """The estimate of a session and the profile it was read off. It unpacks
+    as the pair `estimate, profile`."""
+
+    estimate: BandwidthEstimate
+    profile: DelayProfile
+
+    def to_json(self) -> dict:
+        """The report as `deltaprobe estimate --json` prints it: the estimate's
+        fields, then the profile's size count, samples per size and dropped
+        sizes."""
+        return {
+            **record_dict(self.estimate),
+            "n_sizes": len(self.profile.sizes_bits),
+            "samples_per_size": self.profile.samples_per_size,
+            "dropped_sizes": self.profile.dropped_sizes,
+        }
+
+
 def estimate_bandwidth(
     samples: Samples,
     min_samples_per_size: int = DEFAULT_MIN_SAMPLES_PER_SIZE,
-) -> tuple[BandwidthEstimate, DelayProfile]:
-    """The estimate of a session and the profile it was read off: per-size
-    minima, then the pairwise estimate for two sizes or the regression for
-    more. Raises NoSamples on an empty batch, NoUsableSizes when fewer than
-    two sizes keep enough samples and NonFiniteEstimate when a result
-    overflows float64."""
+) -> EstimateReport:
+    """The report of a session: per-size minima, then the pairwise estimate
+    for two sizes or the regression for more. Raises NoSamples on an empty
+    batch, NoUsableSizes when fewer than two sizes keep enough samples and
+    NonFiniteEstimate when a result overflows float64."""
     batch = SampleBatch.from_samples(samples)
     if not len(batch):
         raise NoSamples("no samples to estimate from")
@@ -277,5 +297,5 @@ def estimate_bandwidth(
             f"(dropped: {list(profile.dropped_sizes) or 'none'})"
         )
     if len(profile.sizes_bits) == 2:
-        return estimate_pairwise(*profile.points), profile
-    return estimate_regression(profile), profile
+        return EstimateReport(estimate_pairwise(*profile.points), profile)
+    return EstimateReport(estimate_regression(profile), profile)

@@ -130,6 +130,18 @@ def test_estimate_session_file(sim_session, capsys):
     assert payload["samples_per_size"] == {"800": 40, "8992": 40}
 
 
+def test_estimate_json_is_the_library_report(sim_session, capsys):
+    assert main(["estimate", "--json", str(sim_session)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("one_way_halve") is False
+    report = deltaprobe.estimate_bandwidth(load_session(sim_session).samples,
+                                           min_samples_per_size=1)
+    assert isinstance(report, deltaprobe.EstimateReport)
+    assert payload == json.loads(json.dumps(report.to_json()))
+    estimate, profile = report
+    assert estimate is report.estimate and profile is report.profile
+
+
 def test_estimate_single_size_exits_3(tmp_path, capsys):
     csv_path = tmp_path / "one.csv"
     csv_path.write_text("size_bytes,delay_s\n100,0.018\n100,0.019\n")
@@ -708,6 +720,132 @@ def test_probe_refuses_a_hop_count_with_discover_hops(tmp_path, capfd, monkeypat
         assert out == "" and "Traceback" not in err
         assert "not allowed with argument" in err
     assert not out_file.exists()
+
+
+# ---------------------------------------------------------------------------
+# exact stdout of every command that prints an estimate
+# ---------------------------------------------------------------------------
+
+def _probe_batch(target, small_delays, large_delays):
+    """A fixed icmp_echo session: 1024- then 9216-bit probes; a None delay is lost."""
+    rows = [(1024, d) for d in small_delays] + [(9216, d) for d in large_delays]
+    return probe.SampleBatch.from_samples([
+        make_sample(wire, delay, seq=i, path_id=target, method="icmp_echo")
+        for i, (wire, delay) in enumerate(rows)])
+
+
+# what the patched run_session returns for each target: an estimate, and a
+# larger size that was faster (NonPositiveDelayDifference)
+_PROBE_SESSIONS = {
+    "192.0.2.1": _probe_batch("192.0.2.1", [0.0101, None], [0.0183, 0.0179]),
+    "192.0.2.2": _probe_batch("192.0.2.2", [0.021, 0.02], [0.019, None]),
+}
+
+_UNAVAILABLE = ("NonPositiveDelayDifference: delay did not increase with size: "
+                "1024b -> 0.02s, 9216b -> 0.019s")
+
+_EXACT_STDOUT = [
+    ("estimate adsl.csv",
+     "B_av = 341.3 kbit/s, a = 15.656 ms (341333.33333333326 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("estimate --json adsl.csv",
+     '{"b_av_bps": 341333.33333333326, "intercept_s": 0.01565625, "method": "pairwise", '
+     '"residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"800": 1, "8992": 1}, "dropped_sizes": [], "one_way_halve": false}\n'),
+    ("estimate neg.csv",
+     "B_av = 199.8 kbit/s, a = -3.004 ms (199804.8780487805 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"
+     "warning: negative intercept\n"),
+    ("estimate --json neg.csv",
+     '{"b_av_bps": 199804.8780487805, "intercept_s": -0.00300390625, "method": "pairwise", '
+     '"residual_rms_s": 0.0, "warnings": ["negative intercept"], "n_sizes": 2, '
+     '"samples_per_size": {"800": 1, "8992": 1}, "dropped_sizes": [], "one_way_halve": false}\n'),
+    ("estimate fixture.jsonl",
+     "B_av = 1.003 Mbit/s, a = 10.027 ms (1002678.5797034354 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("estimate --json fixture.jsonl",
+     '{"b_av_bps": 1002678.5797034354, "intercept_s": 0.01002694524985345, '
+     '"method": "pairwise", "residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"800": 40, "8992": 40}, "dropped_sizes": [], '
+     '"one_way_halve": false}\n'),
+    ("estimate --one-way-halve adsl.csv",
+     "B_av = 682.7 kbit/s, a = 7.828 ms (682666.6666666665 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("estimate --json --one-way-halve fixture.jsonl",
+     '{"b_av_bps": 2005357.1594068708, "intercept_s": 0.005013472624926725, '
+     '"method": "pairwise", "residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"800": 40, "8992": 40}, "dropped_sizes": [], '
+     '"one_way_halve": true}\n'),
+    ("simulate twohop.json",
+     "session: sim-f8339935fb25bdcf.jsonl (60 samples)\n"
+     "ground truth = 666.7 kbit/s (666666.6666666666 bps), overhead = 0.000 ms\n"
+     "B_av = 666.7 kbit/s, a = 0.000 ms (666666.6666666666 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("simulate --json twohop.json",
+     '{"b_av_bps": 666666.6666666666, "intercept_s": 2.168404344971009e-19, '
+     '"method": "pairwise", "residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"800": 30, "8992": 30}, "dropped_sizes": [], '
+     '"ground_truth_bps": 666666.6666666666, "fixed_overhead_s": 0.0, '
+     '"session_file": "sim-f8339935fb25bdcf.jsonl", "session_id": "sim-f8339935fb25bdcf"}\n'),
+    ("simulate --sizes 100,600,1124 --output three.jsonl twohop.json",
+     "session: three.jsonl (90 samples)\n"
+     "ground truth = 666.7 kbit/s (666666.6666666666 bps), overhead = 0.000 ms\n"
+     "B_av = 666.7 kbit/s, a = 0.000 ms (666666.6666666667 bps)\n"
+     "method = regression, residual_rms = 0.000 ms\n"),
+    ("simulate --json --sizes 100,600,1124 --output three.jsonl twohop.json",
+     '{"b_av_bps": 666666.6666666667, "intercept_s": 0.0, "method": "regression", '
+     '"residual_rms_s": 1.1267359490528695e-18, "warnings": [], "n_sizes": 3, '
+     '"samples_per_size": {"800": 30, "4800": 30, "8992": 30}, "dropped_sizes": [], '
+     '"ground_truth_bps": 666666.6666666666, "fixed_overhead_s": 0.0, '
+     '"session_file": "three.jsonl", "session_id": "sim-089412de83d86da5"}\n'),
+    ("probe 192.0.2.1",
+     "session: session-0123456789abcdef.jsonl (4 samples, 1 lost)\n"
+     "B_av = 1.05 Mbit/s, a = 9.125 ms (1050256.4102564103 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("probe --json 192.0.2.1",
+     '{"b_av_bps": 1050256.4102564103, "intercept_s": 0.009125, "method": "pairwise", '
+     '"residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"1024": 1, "9216": 2}, "dropped_sizes": [], '
+     '"session_file": "session-0123456789abcdef.jsonl", "session_id": "0123456789abcdef", '
+     '"n_samples": 4, "n_lost": 1}\n'),
+    ("probe --hop-count 5 --route-km 12.5 192.0.2.1",
+     "session: session-0123456789abcdef.jsonl (4 samples, 1 lost)\n"
+     "hops = 5, route = 12.5 km\n"
+     "B_av = 1.05 Mbit/s, a = 9.125 ms (1050256.4102564103 bps)\n"
+     "method = pairwise, residual_rms = 0.000 ms\n"),
+    ("probe --json --hop-count 5 192.0.2.1",
+     '{"b_av_bps": 1050256.4102564103, "intercept_s": 0.009125, "method": "pairwise", '
+     '"residual_rms_s": 0.0, "warnings": [], "n_sizes": 2, '
+     '"samples_per_size": {"1024": 1, "9216": 2}, "dropped_sizes": [], '
+     '"session_file": "session-0123456789abcdef.jsonl", "session_id": "0123456789abcdef", '
+     '"n_samples": 4, "n_lost": 1}\n'),
+    ("probe --output slow.jsonl 192.0.2.2",
+     "session: slow.jsonl (4 samples, 1 lost)\n"
+     f"estimate unavailable: {_UNAVAILABLE}\n"),
+    ("probe --json --output slow.jsonl 192.0.2.2",
+     f'{{"estimate_error": "{_UNAVAILABLE}", "session_file": "slow.jsonl", '
+     '"session_id": "0123456789abcdef", "n_samples": 4, "n_lost": 1}\n'),
+    ("probe --hop-count 3 --output slow.jsonl 192.0.2.2",
+     "session: slow.jsonl (4 samples, 1 lost)\n"
+     "hops = 3, route = 0.0 km\n"
+     f"estimate unavailable: {_UNAVAILABLE}\n"),
+    ("probe --json --hop-count 3 --output slow.jsonl 192.0.2.2",
+     f'{{"estimate_error": "{_UNAVAILABLE}", "session_file": "slow.jsonl", '
+     '"session_id": "0123456789abcdef", "n_samples": 4, "n_lost": 1}\n'),
+]
+
+
+@pytest.mark.parametrize("command, stdout", _EXACT_STDOUT, ids=[row[0] for row in _EXACT_STDOUT])
+def test_estimate_commands_print_exactly(tmp_path, sim_session, capsys, monkeypatch,
+                                         command, stdout):
+    (tmp_path / "adsl.csv").write_text("size_bytes,delay_s\n100,0.018\n1124,0.042\n")
+    (tmp_path / "neg.csv").write_text("size_bytes,delay_s\n100,0.001\n1124,0.042\n")
+    two_hop_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(probe, "run_session", lambda plan: _PROBE_SESSIONS[plan.target])
+    monkeypatch.setattr(cli.uuid, "uuid4", lambda: cli.uuid.UUID(hex="0123456789abcdef" * 2))
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_usage_error_then_valid_command_in_one_process(adsl_csv, capsys):
