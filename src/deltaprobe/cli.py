@@ -342,7 +342,9 @@ def cmd_stats(args, cfg: CliConfig) -> None:
             print(f"jitter = {_format_ms(summary.jitter_s)} ({summary.jitter_s} s)")
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 64, as UsageError does."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(errors.UsageError.exit_code, f"{self.prog}: error: {message}\n")
@@ -368,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
     writes.add_argument("--output", metavar="FILE", help="output file path")
 
-    parser = _Parser(
+    parser = UsageParser(
         prog="deltaprobe",
         description="Available-bandwidth estimation from delays of "
                     "different-size probe packets",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=UsageParser)
     default = CliConfig()
 
     p = sub.add_parser("probe", parents=[writes], help="probe a live target")

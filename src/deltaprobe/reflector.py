@@ -6,11 +6,12 @@ udp_echo probe method needs on the far end. Runs without privileges.
 
 from __future__ import annotations
 
-import argparse
 import socket
 import sys
 from typing import Callable, Optional
 
+from .cli import UsageParser
+from .errors import EnvironmentFailure
 from .probe import DEFAULT_UDP_PORT
 
 
@@ -41,7 +42,10 @@ def serve(
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    """Serve until interrupted. A port outside 1..65535 is a usage error
+    (exit 64); an address that cannot be bound, or a socket error while
+    serving, prints one line and exits 1."""
+    parser = UsageParser(
         prog="deltaprobe-reflector",
         description="UDP echo reflector for udp_echo probing",
     )
@@ -49,11 +53,19 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=DEFAULT_UDP_PORT,
                         help=f"UDP port (default: {DEFAULT_UDP_PORT})")
     args = parser.parse_args(argv)
-    print(f"reflecting UDP datagrams on {args.host}:{args.port}", file=sys.stderr)
+    if not 0 < args.port < 65536:
+        parser.error(f"--port must be in 1..65535, got {args.port}")
+
+    def ready(port: int) -> None:
+        print(f"reflecting UDP datagrams on {args.host}:{port}", file=sys.stderr)
+
     try:
-        serve(args.host, args.port)
+        serve(args.host, args.port, on_ready=ready)
     except KeyboardInterrupt:
         pass
+    except OSError as exc:  # socket.gaierror included
+        print(f"deltaprobe-reflector: {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return EnvironmentFailure.exit_code
     return 0
 
 

@@ -60,6 +60,8 @@ _CHUNK_LINES = 2048
 # Largest magnitude taken from a CSV number as an integer: wire bits of a
 # size in bytes still fit in int64.
 _CSV_INT_LIMIT = 2.0 ** 59
+# Below this a float64 holds every integer exactly.
+_FLOAT_EXACT = 2 ** 53
 
 
 @dataclass
@@ -465,10 +467,34 @@ def _float_column(cells: list) -> np.ndarray:
 
 def _int_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
     """A CSV column of numbers truncated to integers, with the mask of cells
-    that hold a finite number small enough to keep."""
+    that hold a finite number small enough to keep. A column of non-empty
+    runs of ASCII digits, each below 2**53, is read as integers by one numpy
+    call; a float holds each such value exactly, so the result is the one
+    the float route gives any other column."""
+    # most columns of other numbers show it in their first cell, before the join
+    if cells[0].isdigit() and (text := " ".join(cells)).isascii():
+        data = text.encode("ascii")
+        # the joining spaces are all that is not a digit
+        if data.translate(None, b"0123456789") == b" " * (len(cells) - 1) and all(cells):
+            values = np.fromstring(data, np.int64, sep=" ")  # saturates past int64
+            if (values < _FLOAT_EXACT).all():
+                return values, np.ones_like(values, bool)
     values = _float_column(cells)
     ok = np.abs(values) < _CSV_INT_LIMIT  # False for NaN and inf
     return np.where(ok, values, 0).astype(np.int64), ok
+
+
+def _lost_column(cells: list) -> np.ndarray:
+    """A CSV lost column as flags: a cell that reads 1, true, yes, y or lost
+    (any case, stripped) is lost. A column of only "0" and "1" cells is read
+    with one byte comparison."""
+    text = "".join(cells)
+    if len(text) == len(cells) and text.isascii():
+        data = text.encode("ascii")
+        if not data.translate(None, b"01") and all(cells):  # one byte a cell
+            return np.frombuffer(data, np.uint8) == ord("1")
+    truthy = {c: c.strip().lower() in _TRUTHY for c in set(cells)}
+    return np.fromiter(map(truthy.__getitem__, cells), bool, len(cells))
 
 
 def import_csv(path, *, size_column: str = "size_bytes", size_unit: str = "bytes",
@@ -498,9 +524,7 @@ def import_csv(path, *, size_column: str = "size_bytes", size_unit: str = "bytes
     rtt_s = _float_column(cells[delay_column])
     bad_delay = ~((rtt_s > 0) & (rtt_s < np.inf))
     if lost_column is not None:
-        flags = cells[lost_column]
-        truthy = {c: c.strip().lower() in _TRUTHY for c in set(flags)}
-        lost = np.fromiter(map(truthy.__getitem__, flags), bool, len(flags))
+        lost = _lost_column(cells[lost_column])
         bad_delay &= ~lost
         rtt_s[lost] = np.nan
     rtt_s[bad_delay] = np.nan

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import socket
@@ -10,7 +11,7 @@ import pytest
 
 import deltaprobe
 from conftest import make_sample, needs_raw_icmp
-from deltaprobe import cli, probe, store
+from deltaprobe import cli, probe, reflector, store
 from deltaprobe.cli import CliConfig, format_bitrate, main
 from deltaprobe.reflector import serve
 from deltaprobe.simulator import Hop, SimPath, run_experiment
@@ -406,6 +407,64 @@ def test_probe_discover_hops_loopback(reflector_port, tmp_path):
     assert code == 0
     record = load_session(out)
     assert record.features.hop_count_n == 1
+
+
+# ---------------------------------------------------------------------------
+# deltaprobe-reflector
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("port", ["70000", "-1", "0", "x"])
+def test_reflector_port_out_of_range_is_a_usage_error(port, capsys):
+    with pytest.raises(SystemExit) as exc:
+        reflector.main(["--host", "127.0.0.1", "--port", port])
+    assert exc.value.code == 64
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: deltaprobe-reflector")
+    assert message.startswith("deltaprobe-reflector: error: ")
+    assert port in message
+
+
+def test_reflector_port_in_use_exits_1(capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        port = taken.getsockname()[1]
+        assert reflector.main(["--host", "127.0.0.1", "--port", str(port)]) == 1
+    assert capsys.readouterr().err.startswith(f"deltaprobe-reflector: 127.0.0.1:{port}: ")
+
+
+def test_reflector_host_that_does_not_resolve_exits_1(monkeypatch, capsys):
+    unresolved = socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    class Unresolved(socket.socket):
+        def bind(self, address):
+            raise unresolved
+
+    monkeypatch.setattr(reflector.socket, "socket", Unresolved)
+    assert reflector.main(["--host", "no.such.host", "--port", "7777"]) == 1
+    assert capsys.readouterr().err == f"deltaprobe-reflector: no.such.host:7777: {unresolved}\n"
+
+
+def test_reflector_names_its_port_once_bound(monkeypatch, capsys):
+    monkeypatch.setattr(reflector, "serve", functools.partial(reflector.serve, max_datagrams=1))
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as free:
+        free.bind(("127.0.0.1", 0))
+        port = free.getsockname()[1]
+    codes, echoed = [], None
+    thread = threading.Thread(target=lambda: codes.append(
+        reflector.main(["--host", "127.0.0.1", "--port", str(port)])), daemon=True)
+    thread.start()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+        sender.settimeout(0.1)
+        for _ in range(100):  # datagrams sent before the bind are dropped
+            sender.sendto(b"ping", ("127.0.0.1", port))
+            try:
+                echoed = sender.recv(64)
+                break
+            except socket.timeout:
+                continue
+    thread.join(timeout=5.0)
+    assert echoed == b"ping" and not thread.is_alive() and codes == [0]
+    assert capsys.readouterr().err == f"reflecting UDP datagrams on 127.0.0.1:{port}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import make_sample
-from deltaprobe.errors import ConfigError, CorruptLine, EmptyFile, MissingColumn, SchemaMismatch
+from deltaprobe.errors import (ConfigError, CorruptLine, DeltaProbeError, EmptyFile, MissingColumn,
+                              SchemaMismatch)
 from deltaprobe.estimator import BandwidthEstimate, estimate_pairwise, min_delay_profile
 from deltaprobe.intercept import InterceptModel, Observations, PathFeatures, fit_intercept_model
 from deltaprobe.probe import DEFAULT_UDP_PORT, ProbePlan
@@ -565,6 +566,100 @@ def test_empty_delay_cells_take_the_one_numpy_parse(tmp_path, monkeypatch):
     samples = import_csv(csv_path, **columns)
     assert "abc" in calls
     assert np.isnan(samples.rtt_s[1]) and samples.rtt_s[[0, 2]].tolist() == [0.018, 0.042]
+
+
+def _reference_int_column(cells):
+    """_int_column with every column on the float route."""
+    values = store._float_column(cells)
+    ok = np.abs(values) < 2.0 ** 59
+    return np.where(ok, values, 0).astype(np.int64), ok
+
+
+def _reference_lost_column(cells):
+    """_lost_column cell by cell, as import_csv's docstring states the rule."""
+    return np.array([c.strip().lower() in {"1", "true", "yes", "y", "lost"} for c in cells], bool)
+
+
+# size and timestamp cells of plain digits, some of them at or past 2**53,
+# where a float no longer holds every integer, and cells of any other kind
+_DIGIT_CELLS = ["0", "007", "010", str(2**53 - 1), str(2**53), str(2**53 + 1),
+                "9" * 16, "9" * 19, "9" * 25]
+_NOT_DIGIT_CELLS = ["", " ", " 8", "+5", "-5", "5.0", "1e3", "٣", "1_0", "inf", "nan"]
+_FLAG_CELLS = ["0", "1"]
+_NOT_FLAG_CELLS = ["01", " 1", "true", ""]
+
+
+def _seeded_column(rng, common, rare, n):
+    """`n` cells, half the time all of `common` and else some of `rare` too."""
+    pool = common if rng.random() < 0.5 else common + rare
+    return [str(cell) for cell in rng.choice(pool, n)]
+
+
+def _same_arrays(got, want):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_int_column_matches_the_float_route(monkeypatch):
+    floated = []
+    float_column = store._float_column
+    monkeypatch.setattr(store, "_float_column", lambda cells: floated.append(1) or float_column(cells))
+    rng = np.random.default_rng(28)
+    small = _DIGIT_CELLS[:4]  # below 2**53, so a column of them stays on the integer route
+    fallbacks = 0
+    for _ in range(4000):
+        cells = _seeded_column(rng, small, _DIGIT_CELLS[4:] + _NOT_DIGIT_CELLS, rng.integers(1, 31))
+        floated.clear()
+        got, took_float = store._int_column(cells), len(floated)
+        assert _same_arrays(got, _reference_int_column(cells)), cells
+        assert took_float == (not set(cells) <= set(small)), cells
+        fallbacks += took_float
+    assert 1000 < fallbacks < 3000  # both routes taken
+
+
+def test_lost_column_matches_the_cell_rule():
+    rng = np.random.default_rng(29)
+    for _ in range(4000):
+        cells = _seeded_column(rng, _FLAG_CELLS, _NOT_FLAG_CELLS, rng.integers(1, 31))
+        got = store._lost_column(cells)
+        assert got.dtype == bool and got.tolist() == _reference_lost_column(cells).tolist(), cells
+
+
+_BATCH_COLUMNS = ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")
+
+
+def _import_outcome(path, caplog, columns):
+    """import_csv's batch and warnings, or the error it raises."""
+    caplog.clear()
+    try:
+        with caplog.at_level("WARNING", logger="deltaprobe.store"):
+            batch = import_csv(path, **columns)
+    except DeltaProbeError as exc:
+        return type(exc).__name__, str(exc)
+    return ([getattr(batch, name).tobytes() for name in _BATCH_COLUMNS],
+            [r.getMessage() for r in caplog.records])
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_import_csv_outcomes_match_the_reference_routes(tmp_path, caplog, monkeypatch, plain):
+    rng = np.random.default_rng(30 + plain)
+    columns = {"lost_column": "lost", "timestamp_column": "t"}
+    csv_path = tmp_path / "delays.csv"
+    for _ in range(300):
+        n = rng.integers(1, 31)
+        sizes, stamps = (_seeded_column(rng, _DIGIT_CELLS[:4], _DIGIT_CELLS[4:] + _NOT_DIGIT_CELLS, n)
+                         for _ in range(2))
+        flags = _seeded_column(rng, _FLAG_CELLS, _NOT_FLAG_CELLS, n)
+        delays = [str(cell) for cell in rng.choice(["0.018", "0.042", ""], n)]
+        if not plain:  # a quoted cell sends the file to csv.reader
+            sizes = [f'"{cell}"' for cell in sizes]
+        rows = map(",".join, zip(sizes, delays, flags, stamps))
+        csv_path.write_text("size_bytes,delay_s,lost,t\n" + "\n".join(rows) + "\n")
+        assert (store._plain_columns(csv_path, csv_path.read_bytes(), ()) is not None) == plain
+        got = _import_outcome(csv_path, caplog, columns)
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "_int_column", _reference_int_column)
+            patch.setattr(store, "_lost_column", _reference_lost_column)
+            assert got == _import_outcome(csv_path, caplog, columns)
 
 
 # ---------------------------------------------------------------------------
