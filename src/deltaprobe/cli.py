@@ -21,7 +21,6 @@ from typing import Optional
 
 from . import errors, estimator, intercept, probe, simulator, stats, store
 
-_METHODS = (probe.METHOD_ICMP, probe.METHOD_UDP)
 _FORMATS = ("text", "json")
 
 # Deterministic stand-in for wall-clock time in simulated sessions, so equal
@@ -54,8 +53,8 @@ class CliConfig:
                           "positive and finite")
     timeout: float = _setting(probe.ProbePlan.timeout_s, float, lambda s: 0 < s < math.inf,
                               "positive and finite")
-    method: str = _setting(probe.ProbePlan.method, str, _METHODS.__contains__,
-                           "one of " + ", ".join(_METHODS))
+    method: str = _setting(probe.ProbePlan.method, str, probe.PROBE_METHODS.__contains__,
+                           "one of " + ", ".join(probe.PROBE_METHODS))
     udp_port: int = _setting(probe.ProbePlan.udp_port, int, lambda p: 0 < p < 65536,
                              "in 1..65535")
     format: str = _setting("text", str, _FORMATS.__contains__, "one of " + ", ".join(_FORMATS))
@@ -127,33 +126,26 @@ def _format_ms(seconds: float) -> str:
 # json.dumps with the defaults, but refusing NaN and infinities
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
-
-def _print_json(payload: dict) -> None:
-    try:
-        print(_STRICT_JSON.encode(payload))
-    except ValueError as exc:  # a result overflowed float64
-        raise errors.EstimationError(f"{exc}: {payload}") from exc
+# what each command returns: its --json object and its text lines, of which
+# `main` prints one
+Result = tuple[Optional[dict], list[str]]
 
 
-def _print_report(cfg: CliConfig, report: Optional[estimator.EstimateReport],
-                  lines=(), **keys) -> None:
-    """Print an estimate `report`, None when there is none, after a command's
-    own text `lines`, or as JSON before the command's own `keys`."""
-    if cfg.format == "json":
-        _print_json({**(report.to_json() if report is not None else {}), **keys})
-        return
-    for line in lines:
-        print(line)
-    if report is not None:
-        est = report.estimate
-        print(f"B_av = {format_bitrate(est.b_av_bps)}, a = {_format_ms(est.intercept_s)}"
-              f" ({est.b_av_bps} bps)")
-        print(f"method = {est.method}, residual_rms = {_format_ms(est.residual_rms_s)}")
-        for warning in est.warnings:
-            print(f"warning: {warning}")
+def _with_report(report: Optional[estimator.EstimateReport], lines=(), **keys) -> Result:
+    """An estimate `report`, None when there is none, after a command's own
+    text `lines`, and in JSON before the command's own `keys`."""
+    if report is None:
+        return keys, list(lines)
+    est = report.estimate
+    return {**report.to_json(), **keys}, [
+        *lines,
+        f"B_av = {format_bitrate(est.b_av_bps)}, a = {_format_ms(est.intercept_s)}"
+        f" ({est.b_av_bps} bps)",
+        f"method = {est.method}, residual_rms = {_format_ms(est.residual_rms_s)}",
+        *(f"warning: {warning}" for warning in est.warnings)]
 
 
-def cmd_probe(args, cfg: CliConfig) -> None:
+def cmd_probe(args, cfg: CliConfig) -> Result:
     """Probe a live target and persist the session."""
     # built first: a plan the engine cannot run costs no hop discovery
     plan = probe.ProbePlan(
@@ -206,8 +198,8 @@ def cmd_probe(args, cfg: CliConfig) -> None:
     except errors.EstimationError as exc:
         report, unavailable = None, {"estimate_error": f"{type(exc).__name__}: {exc}"}
         lines.append(f"estimate unavailable: {unavailable['estimate_error']}")
-    _print_report(cfg, report, lines, **unavailable, session_file=str(out_path),
-                  session_id=session_id, n_samples=len(samples), n_lost=n_lost)
+    return _with_report(report, lines, **unavailable, session_file=str(out_path),
+                        session_id=session_id, n_samples=len(samples), n_lost=n_lost)
 
 
 # import_csv's keywords and defaults, for the flags of `estimate` that only
@@ -215,7 +207,7 @@ def cmd_probe(args, cfg: CliConfig) -> None:
 _CSV_DEFAULTS = dict(store.import_csv.__kwdefaults__)
 
 
-def cmd_estimate(args, cfg: CliConfig) -> None:
+def cmd_estimate(args, cfg: CliConfig) -> Result:
     """Estimate bandwidth from a stored session or a CSV of delays."""
     # a keyword without a flag reads None here and keeps its default
     given = {name: getattr(args, name) for name in _CSV_DEFAULTS
@@ -233,10 +225,10 @@ def cmd_estimate(args, cfg: CliConfig) -> None:
               "delays divided by 2", file=sys.stderr)
         samples = samples.replace(rtt_s=samples.rtt_s / 2)
     report = estimator.estimate_bandwidth(samples, cfg.min_samples)
-    _print_report(cfg, report, one_way_halve=args.one_way_halve)
+    return _with_report(report, one_way_halve=args.one_way_halve)
 
 
-def cmd_simulate(args, cfg: CliConfig) -> None:
+def cmd_simulate(args, cfg: CliConfig) -> Result:
     """Run the path simulator and compare the estimate to ground truth."""
     path = simulator.load_path_file(args.path_config)
     if cfg.seed is not None:
@@ -267,11 +259,11 @@ def cmd_simulate(args, cfg: CliConfig) -> None:
     lines = [f"session: {out_path} ({len(samples)} samples)",
              f"ground truth = {format_bitrate(truth)} ({truth} bps), "
              f"overhead = {_format_ms(overhead)}"]
-    _print_report(cfg, report, lines, ground_truth_bps=truth, fixed_overhead_s=overhead,
-                  session_file=str(out_path), session_id=session_id)
+    return _with_report(report, lines, ground_truth_bps=truth, fixed_overhead_s=overhead,
+                        session_file=str(out_path), session_id=session_id)
 
 
-def cmd_calibrate(args, cfg: CliConfig) -> None:
+def cmd_calibrate(args, cfg: CliConfig) -> Result:
     """Fit the intercept model from an observations CSV."""
     observations = store.read_observations_csv(args.observations)
     model = intercept.fit_intercept_model(
@@ -282,24 +274,23 @@ def cmd_calibrate(args, cfg: CliConfig) -> None:
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(model_json, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    if cfg.format == "json":
-        _print_json({**model_json, "model_file": str(out_path)})
-    else:
-        print(f"alpha = {model.alpha_s_per_hop * 1e3:.6f} ms/hop")
-        print(f"beta  = {model.beta_s_per_km * 1e3:.6f} ms/km")
-        if args.with_constant:
-            print(f"const = {model.const_s * 1e3:.6f} ms")
-        print(f"residual_rms = {_format_ms(model.residual_rms_s)} "
-              f"over {model.n_observations} paths")
-        print(f"model: {out_path}")
+    lines = [f"alpha = {model.alpha_s_per_hop * 1e3:.6f} ms/hop",
+             f"beta  = {model.beta_s_per_km * 1e3:.6f} ms/km"]
+    if args.with_constant:
+        lines.append(f"const = {model.const_s * 1e3:.6f} ms")
+    lines += [f"residual_rms = {_format_ms(model.residual_rms_s)} "
+              f"over {model.n_observations} paths",
+              f"model: {out_path}"]
+    return {**model_json, "model_file": str(out_path)}, lines
 
 
 # samples a jitter window of `stats --series` spans unless --window says
 _JITTER_WINDOW = 10
 
 
-def cmd_stats(args, cfg: CliConfig) -> None:
-    """Summarize delays of a stored session."""
+def cmd_stats(args, cfg: CliConfig) -> Result:
+    """Summarize delays of a stored session. `--series` without `--output`
+    has no JSON form: its text lines are the CSV."""
     if args.series:
         window = _JITTER_WINDOW if args.window is None else args.window
         if window < 2:
@@ -312,34 +303,26 @@ def cmd_stats(args, cfg: CliConfig) -> None:
     record = store.load_session(args.input)
     if args.series:
         series = stats.jitter_series(record.samples, window)
-        lines = ["sent_at_us,jitter_s"]
-        lines += [f"{ts},{jitter!r}" for ts, jitter in series]
-        text = "\n".join(lines) + "\n"
+        lines = ["sent_at_us,jitter_s"] + [f"{ts},{jitter!r}" for ts, jitter in series]
         if not args.output:
-            print(text, end="")
-            return
+            return None, lines
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if cfg.format == "json":
-            _print_json({"series_file": str(args.output), "n_windows": len(series)})
-        else:
-            print(f"series: {args.output} ({len(series)} windows)")
-        return
+            fh.write("\n".join(lines) + "\n")
+        return ({"series_file": str(args.output), "n_windows": len(series)},
+                [f"series: {args.output} ({len(series)} windows)"])
 
     summary = stats.summarize(record.samples)
-    if cfg.format == "json":
-        _print_json(store.record_dict(summary))
+    lines = [f"samples = {summary.n_total}, lost = {summary.n_lost} "
+             f"(loss rate {summary.loss_rate:.2%})"]
+    if summary.mean_s is None:
+        lines.append("no delays: every sample was lost")
     else:
-        print(f"samples = {summary.n_total}, lost = {summary.n_lost} "
-              f"(loss rate {summary.loss_rate:.2%})")
-        if summary.mean_s is None:
-            print("no delays: every sample was lost")
-        else:
-            print(f"mean = {_format_ms(summary.mean_s)} ({summary.mean_s} s)")
-            print(f"bounds (2.5%/97.5%) = {_format_ms(summary.lower_2_5_s)} / "
+        lines += [f"mean = {_format_ms(summary.mean_s)} ({summary.mean_s} s)",
+                  f"bounds (2.5%/97.5%) = {_format_ms(summary.lower_2_5_s)} / "
                   f"{_format_ms(summary.upper_97_5_s)} "
-                  f"({summary.lower_2_5_s} s / {summary.upper_97_5_s} s)")
-            print(f"jitter = {_format_ms(summary.jitter_s)} ({summary.jitter_s} s)")
+                  f"({summary.lower_2_5_s} s / {summary.upper_97_5_s} s)",
+                  f"jitter = {_format_ms(summary.jitter_s)} ({summary.jitter_s} s)"]
+    return store.record_dict(summary), lines
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -386,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, metavar="SEC", help=_help("inter-probe gap", default.gap))
     p.add_argument("--timeout", type=float, metavar="SEC",
                    help=_help("per-probe timeout", default.timeout))
-    p.add_argument("--method", choices=_METHODS, help=_help("echo method", default.method))
+    p.add_argument("--method", choices=probe.PROBE_METHODS,
+                   help=_help("echo method", default.method))
     p.add_argument("--udp-port", type=int, metavar="PORT", help="reflector port for udp_echo")
     hops = p.add_mutually_exclusive_group()
     hops.add_argument("--hop-count", type=int, metavar="N", help="attach a known hop count")
@@ -446,7 +430,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else errors.UsageError.exit_code
     try:
-        args.func(args, _resolve_config(args))
+        cfg = _resolve_config(args)
+        payload, lines = args.func(args, cfg)
+        if cfg.format == "json":
+            try:
+                lines = [_STRICT_JSON.encode(payload)]
+            except ValueError as exc:  # a result overflowed float64
+                raise errors.EstimationError(f"{exc}: {payload}") from exc
+        print("\n".join(lines))
         return 0
     except errors.DeltaProbeError as exc:
         kind = "usage error" if isinstance(exc, errors.UsageError) else type(exc).__name__

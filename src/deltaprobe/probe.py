@@ -34,7 +34,12 @@ METHOD_UDP = "udp_echo"
 METHOD_SIMULATED = "simulated"
 METHOD_IMPORTED = "imported"
 
-_METHODS = frozenset({METHOD_ICMP, METHOD_UDP, METHOD_SIMULATED, METHOD_IMPORTED})
+# the methods a ProbePlan can run, in the order `--method` lists them
+PROBE_METHODS = (METHOD_ICMP, METHOD_UDP)
+_METHODS = frozenset({*PROBE_METHODS, METHOD_SIMULATED, METHOD_IMPORTED})
+
+# the longest timeout, and so gap, of a plan; select refuses about 1e10 s
+MAX_WAIT_S = 86400.0
 
 ICMP_HEADER_BYTES = 8
 UDP_HEADER_BYTES = 8
@@ -290,7 +295,10 @@ class ProbePlan:
             raise InvalidProbePlan("inter_probe_gap_s must be positive")
         if not self.timeout_s > self.inter_probe_gap_s:
             raise InvalidProbePlan("timeout_s must exceed inter_probe_gap_s")
-        if self.method not in (METHOD_ICMP, METHOD_UDP):
+        if not self.timeout_s <= MAX_WAIT_S:
+            raise InvalidProbePlan(f"timeout_s must be at most {MAX_WAIT_S:g} s, "
+                                   f"got {self.timeout_s!r}")
+        if self.method not in PROBE_METHODS:
             raise InvalidProbePlan(f"unsupported probe method {self.method!r}")
         if not 0 < self.udp_port < 65536:
             raise InvalidProbePlan(f"udp_port must be in 1..65535, got {self.udp_port!r}")

@@ -766,6 +766,29 @@ def test_probe_refuses_bad_feature_flags_before_probing(tmp_path, capfd, monkeyp
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_probe_refuses_a_wait_the_engine_cannot_make(tmp_path, capfd, monkeypatch, via):
+    def no_session(plan, **kwargs):
+        raise AssertionError(f"a session was sent to {plan.target}")
+
+    monkeypatch.setattr(probe, "run_session", no_session)
+    out_file = tmp_path / "s.jsonl"
+    argv = ["probe", "127.0.0.1", "--method", "udp_echo", "--udp-port", "9",
+            "--output", str(out_file)]
+    settings = {"count": "1", "gap": "1e10", "timeout": "2e10"}
+    if via == "flags":
+        argv += [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+    else:
+        config_file = tmp_path / "deltaprobe.conf"
+        config_file.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        argv += ["--config", str(config_file)]
+    assert main(argv) == 64
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "deltaprobe: usage error: timeout_s must be at most 86400 s, got 20000000000.0\n"
+    assert not out_file.exists()
+
+
 def test_probe_refuses_a_hop_count_with_discover_hops(tmp_path, capfd, monkeypatch):
     def no_call(*_, **__):
         raise AssertionError("hops were discovered or a session was sent")
@@ -782,7 +805,7 @@ def test_probe_refuses_a_hop_count_with_discover_hops(tmp_path, capfd, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# exact stdout of every command that prints an estimate
+# exact stdout of every command
 # ---------------------------------------------------------------------------
 
 def _probe_batch(target, small_delays, large_delays):
@@ -891,6 +914,49 @@ _EXACT_STDOUT = [
     ("probe --json --hop-count 3 --output slow.jsonl 192.0.2.2",
      f'{{"estimate_error": "{_UNAVAILABLE}", "session_file": "slow.jsonl", '
      '"session_id": "0123456789abcdef", "n_samples": 4, "n_lost": 1}\n'),
+    ("calibrate obs.csv",
+     "alpha = 0.076739 ms/hop\n"
+     "beta  = 0.005100 ms/km\n"
+     "residual_rms = 0.161 ms over 4 paths\n"
+     "model: intercept-model.json\n"),
+    ("calibrate --json obs.csv",
+     '{"alpha_s_per_hop": 7.673932841254646e-05, "beta_s_per_km": 5.1000806114828416e-06, '
+     '"residual_rms_s": 0.00016087071405677104, "n_observations": 4, "const_s": 0.0, '
+     '"model_file": "intercept-model.json"}\n'),
+    ("calibrate --with-constant obs.csv",
+     "alpha = 0.077529 ms/hop\n"
+     "beta  = 0.005101 ms/km\n"
+     "const = -0.008425 ms\n"
+     "residual_rms = 0.161 ms over 4 paths\n"
+     "model: intercept-model.json\n"),
+    ("calibrate --json --with-constant --output m.json obs.csv",
+     '{"alpha_s_per_hop": 7.752947343240727e-05, "beta_s_per_km": 5.101009985477337e-06, '
+     '"residual_rms_s": 0.00016084038563863099, "n_observations": 4, '
+     '"const_s": -8.424715461607703e-06, "model_file": "m.json"}\n'),
+    ("stats fixture.jsonl",
+     "samples = 80, lost = 0 (loss rate 0.00%)\n"
+     "mean = 16.881 ms (0.01688121225452379 s)\n"
+     "bounds (2.5%/97.5%) = 10.916 ms / 24.818 ms "
+     "(0.010915645936538874 s / 0.024817963429272987 s)\n"
+     "jitter = 8.087 ms (0.008087496234697065 s)\n"),
+    ("stats --json fixture.jsonl",
+     '{"n_total": 80, "n_lost": 0, "mean_s": 0.01688121225452379, '
+     '"lower_2_5_s": 0.010915645936538874, "upper_97_5_s": 0.024817963429272987, '
+     '"jitter_s": 0.008087496234697065, "loss_rate": 0.0}\n'),
+    ("stats lost.jsonl",
+     "samples = 2, lost = 2 (loss rate 100.00%)\n"
+     "no delays: every sample was lost\n"),
+    ("stats --json lost.jsonl",
+     '{"n_total": 2, "n_lost": 2, "mean_s": null, "lower_2_5_s": null, '
+     '"upper_97_5_s": null, "jitter_s": null, "loss_rate": 1.0}\n'),
+    ("stats --series --window 2 probe.jsonl",
+     "sent_at_us,jitter_s\n"
+     "2000,0.0082\n"
+     "3000,0.00040000000000000105\n"),
+    ("stats --series --window 2 --output jitter.csv probe.jsonl",
+     "series: jitter.csv (2 windows)\n"),
+    ("stats --json --series --window 2 --output jitter.csv probe.jsonl",
+     '{"series_file": "jitter.csv", "n_windows": 2}\n'),
 ]
 
 
@@ -899,6 +965,12 @@ def test_estimate_commands_print_exactly(tmp_path, sim_session, capsys, monkeypa
                                          command, stdout):
     (tmp_path / "adsl.csv").write_text("size_bytes,delay_s\n100,0.018\n1124,0.042\n")
     (tmp_path / "neg.csv").write_text("size_bytes,delay_s\n100,0.001\n1124,0.042\n")
+    (tmp_path / "obs.csv").write_text("path_id,n,l_km,a_s\np0,3,120,0.0009\np1,7,2400,0.0125\n"
+                                      "p2,12,800,0.0051\np3,5,5000,0.026\n")
+    for name, batch in (("probe", _PROBE_SESSIONS["192.0.2.1"]),
+                        ("lost", _probe_batch("192.0.2.3", [None], [None]))):
+        save_session(SessionRecord(session_id=name, created_at="1970-01-01T00:00:00+00:00",
+                                   plan=None, samples=batch), tmp_path / f"{name}.jsonl")
     two_hop_config(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(probe, "run_session", lambda plan: _PROBE_SESSIONS[plan.target])
@@ -985,6 +1057,8 @@ def test_session_with_udp_port_out_of_range_exits_65(sim_session, capsys, port):
     ({"sizes_payload_bytes": [100, 65508], "method": "udp_echo"},
      "payload must be at most 65507 bytes for udp_echo"),
     ({"count_per_size": 40000}, "session too large: sequence numbers are 16-bit"),
+    ({"inter_probe_gap_s": 1e10, "timeout_s": 2e10},
+     "timeout_s must be at most 86400 s, got 20000000000.0"),
 ])
 def test_session_with_a_plan_the_engine_cannot_run_exits_65(sim_session, capsys, plan, needle):
     lines = sim_session.read_text().splitlines()

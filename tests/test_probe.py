@@ -124,6 +124,25 @@ def test_plan_rejects_timeout_below_gap():
         ProbePlan(target="127.0.0.1", inter_probe_gap_s=0.5, timeout_s=0.2)
 
 
+@pytest.mark.parametrize("gap, timeout, message", [
+    (0.05, math.inf, "timeout_s must be at most 86400 s, got inf"),
+    (0.05, 2e10, "timeout_s must be at most 86400 s, got 20000000000.0"),
+    (1e10, 2e10, "timeout_s must be at most 86400 s, got 20000000000.0"),
+    (math.inf, math.inf, "timeout_s must exceed inter_probe_gap_s"),
+    (math.nan, 2.0, "inter_probe_gap_s must be positive"),
+    (0.05, math.nan, "timeout_s must exceed inter_probe_gap_s"),
+])
+def test_plan_rejects_a_wait_the_engine_cannot_make(gap, timeout, message):
+    # select raises OverflowError on such a wait, mid-session
+    with pytest.raises(InvalidProbePlan, match=f"^{re.escape(message)}$"):
+        ProbePlan(target="127.0.0.1", inter_probe_gap_s=gap, timeout_s=timeout)
+
+
+def test_plan_takes_the_longest_wait():
+    plan = ProbePlan(target="127.0.0.1", inter_probe_gap_s=3600.0, timeout_s=probe_module.MAX_WAIT_S)
+    assert plan.timeout_s == 86400.0
+
+
 @pytest.mark.parametrize("port", [0, 70000, -1])
 def test_plan_rejects_udp_port_out_of_range(port):
     with pytest.raises(InvalidProbePlan, match=f"^udp_port must be in 1..65535, got {port}$"):
