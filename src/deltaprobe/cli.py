@@ -296,7 +296,8 @@ def cmd_stats(args, cfg: CliConfig) -> Result:
         if window < 2:
             raise errors.UsageError(f"--window must be >= 2, got {window}")
         if cfg.format == "json" and not args.output:
-            raise errors.UsageError("--series with --json needs --output: the series is CSV")
+            raise errors.UsageError("--series with JSON output (--json or format = json) "
+                                    "needs --output: the series is CSV")
     elif args.window is not None or args.output is not None:
         flag = "--window" if args.window is not None else "--output"
         raise errors.UsageError(f"{flag} applies only with --series")

@@ -7,6 +7,11 @@ method. Unknown metadata keys and sample fields survive a load/save round
 trip untouched, a sample's fields keyed by its row (seqs may repeat); the
 plan and features refuse keys they have no field for.
 
+A session of at least _CHUNK_LINES samples and no sample extras also gets a
+column file beside it, `<session>.columns`: its samples as raw columns,
+under one SHA-256 of the session's bytes and its own. A load takes the
+columns only when that digest matches, and parses the JSONL otherwise.
+
 A CSV file, of delays or of intercept observations, is read as
 csv.DictReader reads it, a leading UTF-8 BOM skipped. A plain file (no
 quote, one kind of line end, every row as wide as the header) is split
@@ -15,8 +20,10 @@ once at commas and line ends; any other is read by csv.reader.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -56,6 +63,11 @@ _EMPTY_AS_NAN = {"": "nan"}
 # Sample lines written or parsed at a time: a session is never held whole
 # as text or as parsed JSON objects, only as columns.
 _CHUNK_LINES = 2048
+
+# The columns of a column file after its two header lines, in SampleBatch's
+# argument order, each n items of its little-endian type.
+_COLUMN_FILE = (("seq", "<i8"), ("payload_bytes", "<i8"), ("wire_bits", "<i8"),
+                ("sent_at_us", "<i8"), ("rtt_s", "<f8"))
 
 # Largest magnitude taken from a CSV number as an integer: wire bits of a
 # size in bytes still fit in int64.
@@ -146,8 +158,16 @@ def _sample_lines(samples: SampleBatch, sample_extras: dict[int, dict], first_ro
     return "".join(lines)
 
 
+def _columns_path(path):
+    """The column file beside the session file `path`."""
+    path = os.fspath(path)
+    return path + (b".columns" if isinstance(path, bytes) else ".columns")
+
+
 def save_session(record: SessionRecord, path) -> None:
-    """Write the session as JSONL and fsync before returning."""
+    """Write the session as JSONL and fsync before returning. A session of
+    at least _CHUNK_LINES samples and no sample extras also gets its column
+    file."""
     meta = {
         "schema": SCHEMA_VERSION,
         "session_id": record.session_id,
@@ -157,12 +177,42 @@ def save_session(record: SessionRecord, path) -> None:
     }
     meta.update(record.extra)
     samples = record.samples
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_line(meta) + "\n")
-        for start in range(0, len(samples), _CHUNK_LINES):
-            fh.write(_sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras, start))
+    digest = hashlib.sha256()
+    texts = itertools.chain([dump_line(meta) + "\n"], (
+        _sample_lines(samples[start:start + _CHUNK_LINES], record.sample_extras, start)
+        for start in range(0, len(samples), _CHUNK_LINES)))
+    with open(path, "wb") as fh:
+        for text in texts:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
+    if len(samples) >= _CHUNK_LINES and not record.sample_extras:
+        _write_columns(samples, digest, _columns_path(path))
+
+
+def _write_columns(samples: SampleBatch, digest, path) -> None:
+    """Write the column file of `samples` to `path`, `digest` having taken
+    the session file's bytes: a line of the SHA-256 of those bytes and the
+    rest of this file, a line of the ids and the length, then the columns.
+    The file is not fsynced. An OSError removes what was written, if it can,
+    and fails nothing: the session file is the record."""
+    ids = dump_line({"method": samples.method, "n": len(samples), "path_id": samples.path_id})
+    columns = {name: getattr(samples, name) for name, _ in _COLUMN_FILE}
+    columns["rtt_s"] = np.where(samples.lost, np.nan, samples.rtt_s)  # the NaN a parse gives
+    body = [ids.encode("utf-8") + b"\n",
+            *(np.ascontiguousarray(columns[name], dtype) for name, dtype in _COLUMN_FILE)]
+    for part in body:
+        digest.update(part)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(digest.hexdigest().encode("ascii") + b"\n")
+            for part in body:
+                fh.write(part)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 def _decode(line_no: int, raw: bytes) -> str:
@@ -288,12 +338,44 @@ def _load_samples(lines) -> tuple[SampleBatch, dict[int, dict]]:
     return SampleBatch.concat(batches), sample_extras
 
 
+def _column_samples(path, fh, head: bytes) -> Optional[SampleBatch]:
+    """The samples of the session file `path`, open as `fh` just past its
+    first line `head`, from its column file: only if that file is whole and
+    its digest matches the session's bytes, the rest of which are read to
+    check it. None otherwise, with `fh` where it was."""
+    columns_path = _columns_path(path)
+    if not os.access(columns_path, os.R_OK):  # spares most loads a raised OSError
+        return None
+    try:
+        with open(columns_path, "rb") as cf:
+            data = cf.read()
+        digest, ids_line, columns = data.split(b"\n", 2)
+        ids = json.loads(ids_line)
+        n, path_id = ids["n"], ids["path_id"]
+        whole = type(n) is int and len(columns) == 8 * n * len(_COLUMN_FILE)
+        if not (whole and type(path_id) is str and fh.seekable()):
+            return None
+        checked = hashlib.sha256(head)
+        for block in iter(functools.partial(fh.read, 1 << 20), b""):
+            checked.update(block)
+        checked.update(memoryview(data)[len(digest) + 1:])
+        if checked.hexdigest().encode("ascii") == digest:
+            return SampleBatch(path_id, ids["method"], *(
+                np.frombuffer(columns, dtype, n, 8 * n * i) for i, (_, dtype) in enumerate(_COLUMN_FILE)))
+    except (OSError, ValueError, TypeError, KeyError):  # InvalidSample is a ValueError
+        pass
+    fh.seek(len(head))
+    return None
+
+
 def load_session(path) -> SessionRecord:
     """Reload a session file written by save_session.
 
     Raises SchemaMismatch for unrecognized schema versions and CorruptLine
     (with the 1-based line number) for lines that are not UTF-8 JSON,
     invalid samples, and sample lines that disagree on path_id or method.
+    The samples come from the session's column file when its digest
+    matches, and are parsed from the lines otherwise, with the same result.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -314,7 +396,9 @@ def load_session(path) -> SessionRecord:
             features = None if features is None else from_json(PathFeatures, features)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptLine(1, f"bad metadata: {exc}") from exc
-        samples, sample_extras = _load_samples(itertools.chain(rest, fh))
+        samples, sample_extras = _column_samples(path, fh, head), {}
+        if samples is None:
+            samples, sample_extras = _load_samples(itertools.chain(rest, fh))
     return SessionRecord(
         session_id=session_id,
         created_at=created_at,

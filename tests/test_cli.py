@@ -301,7 +301,10 @@ def test_stats_series_json_prints_one_object(sim_session, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {"series_file": str(out_csv), "n_windows": 71}
         # without --output the series itself is stdout, which is CSV
         assert main(["stats", str(sim_session), "--series", *flag]) == 64
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "deltaprobe: usage error: --series with JSON output (--json or format = json) "
+            "needs --output: the series is CSV\n")
 
 
 def test_stats_empty_session_exits_3(tmp_path, capsys):

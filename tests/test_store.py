@@ -1,8 +1,11 @@
 import csv
+import errno
 import functools
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import stat
 import typing
@@ -885,9 +888,20 @@ def _write(path, lines, end=b"\n"):
     path.write_bytes(b"\n".join(lines) + end)
 
 
+def _columns_of(path):
+    return path.with_name(path.name + ".columns")
+
+
+def _drop_columns(path):
+    """Remove the column file that save_session wrote beside `path`, so a
+    load parses the session's lines."""
+    _columns_of(path).unlink()
+
+
 def test_bulk_parse_matches_json_path_on_seeded_sessions(tmp_path, monkeypatch):
     for seed in (54, 55):
         path, _ = _seeded_session(tmp_path, seed)
+        _drop_columns(path)
         record, bulk_chunks = _load_both_ways(path, monkeypatch)
         assert isinstance(record, SessionRecord) and bulk_chunks == 4
 
@@ -988,6 +1002,7 @@ def test_bulk_parse_holds_a_path_id_of_regex_metacharacters_literally(tmp_path, 
     # chunks of 4 sample lines: lines 2-5, 6-9 and 10-11
     monkeypatch.setattr(store, "_CHUNK_LINES", 4)
     path, _ = _session_of(tmp_path, "a.b*c+(d)|[e]^$?{2}%")
+    _drop_columns(path)
     record, bulk_chunks = _load_both_ways(path, monkeypatch)
     assert record.samples.path_id == "a.b*c+(d)|[e]^$?{2}%" and bulk_chunks == 3
 
@@ -1166,6 +1181,199 @@ def test_invalid_utf8_names_the_line(tmp_path):
     with pytest.raises(CorruptLine, match="invalid UTF-8") as excinfo:
         read_observations_csv(csv_path)
     assert excinfo.value.line_number == 3
+
+
+# ---------------------------------------------------------------------------
+# column files: taken only when their digest matches, else the lines parsed
+# ---------------------------------------------------------------------------
+
+_COLUMN_NAMES = ("seq", "payload_bytes", "wire_bits", "sent_at_us", "rtt_s")
+_COLUMN_PATH_IDS = ("a.b*c+(d)|[e]^$?{2}%", 'hôte-ß-東京 \\"x"\n')
+
+
+def _column_session(tmp_path, n, path_id=_COLUMN_PATH_IDS[0], seed=61, name="cols.jsonl"):
+    """A session of n samples with lost rows, repeated seqs, int64 extremes
+    and the extreme RTTs, saved by save_session; its path and its samples."""
+    rng = np.random.default_rng(seed)
+    rtt = rng.uniform(1e-4, 0.5, n)
+    rtt[rng.random(n) < 0.1] = np.nan
+    rtt[:3] = (5e-324, 1.7976931348623157e308, -np.nan)  # x86's default NaN has the sign set
+    payload = rng.integers(1, 9000, n)
+    wire = payload * 8 + rng.integers(0, 300, n)
+    payload[0], wire[0] = (2 ** 63 - 1) // 8, 2 ** 63 - 1
+    seq = np.sort(rng.integers(0, n // 3, n))  # most seqs repeat
+    seq[-1] = 2 ** 63 - 1
+    sent = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True)
+    sent[:2] = (-2 ** 63, 2 ** 63 - 1)
+    samples = SampleBatch(path_id, "udp_echo", seq, payload, wire, sent, rtt)
+    path = tmp_path / name
+    save_session(SessionRecord(session_id=name, created_at="t", plan=None, samples=samples,
+                               extra={"note": "columns"}), path)
+    return path, samples
+
+
+def _load_outcome(path):
+    """The record load_session makes of `path`, or its error's type, line
+    number and message."""
+    try:
+        return load_session(path)
+    except DeltaProbeError as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+
+
+def _same_outcome(got, want):
+    """`got` equals `want`, and a record's columns equal byte for byte."""
+    if isinstance(want, SessionRecord):
+        assert isinstance(got, SessionRecord) and got.sample_extras == {}
+        assert type(got.samples.path_id) is str and type(got.samples.method) is str
+        for name in _COLUMN_NAMES:
+            column, reference = getattr(got.samples, name), getattr(want.samples, name)
+            assert column.dtype == reference.dtype, name
+            assert column.tobytes() == reference.tobytes(), name
+            assert not column.flags.writeable, name
+    assert got == want
+
+
+def _parse_only(monkeypatch):
+    """Make a load that parses the session's lines fail the test."""
+    def refuse(lines):
+        raise AssertionError("the lines were parsed")
+
+    monkeypatch.setattr(store, "_load_samples", refuse)
+
+
+@pytest.mark.parametrize("path_id", _COLUMN_PATH_IDS, ids=["regex metacharacters", "non-ASCII"])
+@pytest.mark.parametrize("n", [2048, 2049, 5003])
+def test_a_column_file_loads_what_the_lines_give(tmp_path, monkeypatch, n, path_id):
+    path, samples = _column_session(tmp_path, n, path_id)
+    assert _columns_of(path).is_file()
+    with monkeypatch.context() as patch:
+        _parse_only(patch)
+        with_columns = load_session(path)
+    _drop_columns(path)
+    parsed = load_session(path)
+    _same_outcome(with_columns, parsed)
+    assert parsed.samples == samples and parsed.extra == {"note": "columns"}
+    # every NaN, whatever its bits in the saved batch, loads as the one a parse gives
+    assert np.isnan(samples.rtt_s[2]) and parsed.samples.rtt_s[2:3].tobytes() == np.array(
+        [np.nan]).tobytes()
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def _check_each_change(path, original, changes):
+    """For each (name, bytes) in `changes`, `path` holding those bytes gives
+    the same outcome with its column file as without it; the column file
+    is as save_session wrote it. The kinds of outcome seen."""
+    columns = _columns_of(path)
+    saved = columns.read_bytes()
+    kinds = set()
+    for name, data in changes:
+        path.write_bytes(data)
+        columns.write_bytes(saved)
+        with_columns = _load_outcome(path)
+        columns.unlink()
+        _same_outcome(with_columns, _load_outcome(path))
+        kinds.add(type(with_columns))
+    path.write_bytes(original)
+    return kinds
+
+
+def test_a_changed_session_file_is_parsed(tmp_path):
+    path, _ = _column_session(tmp_path, 2049)
+    data = path.read_bytes()
+    rng = np.random.default_rng(62)
+    line_ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+    changes = [(f"flip at {at}", _flip(data, at)) for at in rng.integers(0, len(data), 24).tolist()]
+    changes += [("flip in the metadata line", _flip(data, 11)),
+                ("flip in the last line", _flip(data, len(data) - 40)),
+                ("cut mid-line", data[:line_ends[1500] - 9]),
+                ("cut at a line end", data[:line_ends[1500] + 1]),
+                ("cut to the metadata line", data[:line_ends[0] + 1]),
+                ("cut to nothing", b""),
+                ("last line again", data + data[line_ends[-2] + 1:]),
+                ("a blank line appended", data + b"\n"),
+                ("line ends of \r\n", data.replace(b"\n", b"\r\n"))]
+    assert _check_each_change(path, data, changes) == {SessionRecord, tuple}
+
+
+def test_a_damaged_column_file_is_not_taken(tmp_path):
+    path, samples = _column_session(tmp_path, 2048)
+    columns = _columns_of(path)
+    saved = columns.read_bytes()
+    digest_end = saved.index(b"\n")
+    ids_end = saved.index(b"\n", digest_end + 1)
+    other, _ = _column_session(tmp_path, 2048, seed=63, name="other.jsonl")
+    damaged = [_flip(saved, at) for at in (0, digest_end - 1, digest_end, digest_end + 3, ids_end - 2,
+                                           ids_end, ids_end + 1, len(saved) // 2, len(saved) - 1)]
+    damaged += [saved[:cut] for cut in (0, digest_end, ids_end + 1, len(saved) - 8, len(saved) - 1)]
+    damaged += [saved + b"\0", _columns_of(other).read_bytes()]
+    _drop_columns(path)
+    parsed = load_session(path)
+    assert parsed.samples == samples
+    for data in damaged:
+        columns.write_bytes(data)
+        _same_outcome(_load_outcome(path), parsed)
+    columns.unlink()
+    columns.mkdir()
+    _same_outcome(_load_outcome(path), parsed)
+
+
+def test_no_column_file_below_a_chunk_or_with_sample_extras(tmp_path):
+    path, samples = _column_session(tmp_path, 2048)
+    stale = _columns_of(path).read_bytes()
+    for record in (SessionRecord(session_id="short", created_at="t", plan=None, samples=samples[:2047]),
+                   SessionRecord(session_id="extras", created_at="t", plan=None, samples=samples,
+                                 sample_extras={2000: {"probe_color": "blue"}})):
+        other = tmp_path / f"{record.session_id}.jsonl"
+        save_session(record, other)
+        assert not _columns_of(other).exists()
+        assert load_session(other) == record
+        # saved over a session that had one, its stale column file is not taken
+        save_session(record, path)
+        assert _columns_of(path).read_bytes() == stale
+        assert load_session(path) == record
+
+
+def test_a_save_whose_column_path_is_a_directory_succeeds(tmp_path):
+    path = tmp_path / "cols.jsonl"
+    _columns_of(path).mkdir()
+    _, samples = _column_session(tmp_path, 2048)
+    assert _columns_of(path).is_dir() and not any(_columns_of(path).iterdir())
+    assert load_session(path).samples == samples
+    short = SessionRecord(session_id="short", created_at="t", plan=None, samples=samples[:10])
+    save_session(short, path)
+    assert _columns_of(path).is_dir() and load_session(path) == short
+
+
+def test_a_failed_column_write_removes_the_partial_file(tmp_path, monkeypatch):
+    class FullDisk(io.BytesIO):
+        """A column file that takes its first write and refuses the next."""
+
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def write(self, data):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.name.write_bytes(bytes(data))
+            return super().write(data)
+
+    real_open = open
+
+    def open_for_columns(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".columns") and "w" in mode:
+            return FullDisk(pathlib.Path(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(store, "open", open_for_columns, raising=False)
+    path, samples = _column_session(tmp_path, 2048)
+    monkeypatch.undo()
+    assert not _columns_of(path).exists()
+    assert load_session(path).samples == samples
 
 
 def test_read_observations_names_a_bad_row(tmp_path):
